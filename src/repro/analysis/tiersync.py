@@ -62,8 +62,8 @@ stated):
 
 The rule also exposes :func:`generated_kernels` — one compiled
 representative kernel per coverage class — consumed by
-``hot-path-hygiene`` and ``guard-purity`` so *emitted* loops inherit
-the fast-path and guard disciplines, not just the emitters.
+``hot-path-hygiene`` so *emitted* loops inherit the fast-path
+discipline, not just the emitters.
 """
 
 from __future__ import annotations
@@ -648,9 +648,8 @@ def generated_kernels(ctx: LintContext):
     """One ``(label, key, source)`` per kernel coverage class, memoized.
 
     The classes mirror the key facts that gate whole regions of emitted
-    code: runahead on/off, macro speculation on/off, and the minimal
-    single-thread shape — together they exercise every emitter branch
-    worth keeping hygienic.
+    code: runahead on/off and the minimal single-thread shape — together
+    they exercise every emitter branch worth keeping hygienic.
     """
     cached = getattr(ctx, "_tiersync_kernels", None)
     if cached is not None:
@@ -664,10 +663,8 @@ def generated_kernels(ctx: LintContext):
         ("full", key),
         ("no-runahead", key._replace(uses_runahead=False, ra_fp_inval=False,
                                      num_threads=2)),
-        ("macro-off", key._replace(macro_spec=False, has_macro_ok=False)),
         ("minimal", key._replace(num_threads=1, uses_runahead=False,
-                                 ra_fp_inval=False, macro_spec=False,
-                                 has_on_cycle=False, has_macro_ok=False,
+                                 ra_fp_inval=False, has_on_cycle=False,
                                  skip_enabled=False)),
     )
     kernels = []

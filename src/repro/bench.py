@@ -217,17 +217,12 @@ def time_cell(cell: BenchCell, cycle_skip: bool = True,
                 os.environ.pop(KERNEL_ENV_VAR, None)
             else:
                 os.environ[KERNEL_ENV_VAR] = saved_kernel
-    gstats = pipeline.gstats
     return {
         "seconds": best,
         "cycles": result.cycles,
         "committed": result.total_committed,
         "skipped_cycles": pipeline.skipped_cycles,
         "skip_jumps": pipeline.skip_jumps,
-        "macro_steps": gstats.macro_steps,
-        "macro_insts": gstats.macro_insts,
-        "macro_guard_aborts": gstats.macro_guard_aborts,
-        "macro_abort_causes": dict(gstats.macro_abort_causes),
     }
 
 
@@ -296,12 +291,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
                               if cycles > 0 else 0.0),
             "sim_cycles_per_second": (cycles / seconds
                                       if seconds > 0 else 0.0),
-            # Macro-step speculation accounting (zeros under
-            # REPRO_SPECULATE=off or policies without the opt-in hook).
-            "macro_steps": timed["macro_steps"],
-            "macro_insts": timed["macro_insts"],
-            "macro_guard_aborts": timed["macro_guard_aborts"],
-            "macro_abort_causes": timed["macro_abort_causes"],
         }
         if measure_noskip:
             reference = time_cell(cell, cycle_skip=False, repeats=repeats)
@@ -318,10 +307,6 @@ def run_bench(quick: bool = False, repeats: int = 3,
         if progress is not None:
             note = (f"  {cell.id}: {entry['seconds']:.3f}s "
                     f"({entry['skip_fraction']:.0%} cycles skipped")
-            if entry["macro_steps"]:
-                note += (f", {entry['macro_insts']} insts in "
-                         f"{entry['macro_steps']} macro-steps, "
-                         f"{entry['macro_guard_aborts']} guard aborts")
             if measure_noskip:
                 note += f", {entry['speedup_vs_noskip']:.2f}x vs no-skip"
             if compare_kernels:
@@ -337,21 +322,14 @@ def render_report(report: Dict) -> str:
              f"calibration {report['calibration_seconds'] * 1e3:.1f} ms, "
              f"best of {report['repeats']})",
              f"{'cell':14s} {'policy':7s} {'thr':>3s} {'seconds':>8s} "
-             f"{'Mcyc/s':>7s} {'skipped':>8s} {'macro':>7s} {'aborts':>7s} "
-             f"{'vs-noskip':>9s}"]
+             f"{'Mcyc/s':>7s} {'skipped':>8s} {'vs-noskip':>9s}"]
     for cell_id, entry in report["cells"].items():
         speedup = entry.get("speedup_vs_noskip")
-        # Reports predating the speculation layer lack the macro columns.
-        macro_insts = entry.get("macro_insts")
-        aborts = entry.get("macro_guard_aborts")
         lines.append(
             f"{cell_id:14s} {entry['policy']:7s} {entry['threads']:3d} "
             f"{entry['seconds']:8.3f} "
             f"{entry['sim_cycles_per_second'] / 1e6:7.2f} "
             f"{entry['skip_fraction']:8.0%} "
-            + (f"{macro_insts:7d} " if macro_insts is not None
-               else f"{'-':>7s} ")
-            + (f"{aborts:7d} " if aborts is not None else f"{'-':>7s} ")
             + (f"{speedup:8.2f}x" if speedup is not None else
                f"{'-':>9s}"))
     return "\n".join(lines)

@@ -8,17 +8,21 @@ pipeline of a given machine shape pays one source emission +
 repeated runs in the same process — reuses the compiled loop.  Worker
 processes of the process-pool executor each hold their own cache,
 warmed by their first cell (the kernel-tier request travels to workers
-via the ``REPRO_KERNEL`` environment knob, exactly like
-``REPRO_SPECULATE``).
+via the ``REPRO_KERNEL`` environment knob).
 
 The cache key deliberately excludes the policy *class*: only the folded
-policy facts in the key (runahead use, hook presence, macro/skip
+policy facts in the key (runahead use, hook presence, skip
 eligibility) shape the emitted source, so e.g. two icount-family
 policies of identical shape share one kernel.
+
+Each kernel is compiled under its own code filename
+(:func:`kernel_filename`), so profilers and tracebacks tell the
+shapes apart instead of merging them into one ``_kernel_run`` entry.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Optional
 
 from ..isa import OP_FU_BY_CODE, OP_QUEUE_BY_CODE
@@ -35,6 +39,12 @@ assert list(OP_QUEUE_BY_CODE) == list(OP_FU_BY_CODE), \
 _KERNELS: Dict[KernelKey, object] = {}
 
 
+def kernel_filename(key: KernelKey) -> str:
+    """The code filename a kernel compiles under: stable per key."""
+    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+    return f"<kernel-gen:{digest[:12]}>"
+
+
 def specialized_run_loop(pipeline) -> Optional[object]:
     """The compiled run loop for this pipeline's shape, or None.
 
@@ -49,7 +59,7 @@ def specialized_run_loop(pipeline) -> Optional[object]:
     if kernel is None:
         source = emit_kernel_source(key)
         namespace = kernel_namespace()
-        exec(compile(source, "<kernel-gen>", "exec"), namespace)
+        exec(compile(source, kernel_filename(key), "exec"), namespace)
         kernel = namespace["_kernel_run"]
         kernel.__kernel_key__ = key
         kernel.__kernel_source__ = source

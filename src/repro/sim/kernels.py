@@ -18,8 +18,7 @@ Two tiers exist:
 
 Selection is controlled by the ``REPRO_KERNEL`` environment knob
 (``auto`` | ``python`` | ``specialized``, resolved by
-:func:`repro.config.kernel_mode` — the same pattern as
-``REPRO_SPECULATE``, and like it deliberately *not* an
+:func:`repro.config.kernel_mode` — deliberately *not* an
 :class:`~repro.config.SMTConfig` field: by the bit-identity contract
 the switch cannot change any result, so the config cache key — and the
 result-cache salt — stay untouched).  Requesting ``specialized`` for a
@@ -93,9 +92,9 @@ def resolve_run_loop(pipeline) -> Callable:
     ``python`` forces the portable loop; ``specialized`` and ``auto``
     both request the specializer and fall back to the portable loop for
     any shape it declines (third-party policy, wide machine).  Resolved
-    per call, not per pipeline: mutable pipeline switches the key folds
-    (``cycle_skip``, ``macro_spec``) are re-read each time, so tests
-    that flip them between runs get the matching kernel variant.
+    per call, not per pipeline: the mutable ``cycle_skip`` switch the
+    key folds is re-read each time, so tests that flip it between runs
+    get the matching kernel variant.
     """
     if kernel_mode() == "python":
         return python_run_loop

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro import bench
 from repro.cli import main
 
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY_CELL = bench.BenchCell("tiny-stall", "MEM2", ("art", "mcf"),
                             "stall", trace_len=300)
@@ -115,25 +118,15 @@ class TestReports:
                    for line in lines)
         assert not any("x vs reference" in line for line in lines)
 
-    def test_macro_counters_in_report(self, report):
-        """Macro-step speculation accounting rides along in every
-        report entry and the rendered table."""
-        entry = report["cells"]["tiny-stall"]
-        assert entry["macro_steps"] >= 0
-        assert entry["macro_insts"] >= entry["macro_steps"]
-        assert entry["macro_guard_aborts"] >= 0
-        assert isinstance(entry["macro_abort_causes"], dict)
-        rendered = bench.render_report(report)
-        assert "macro" in rendered and "aborts" in rendered
-
-    def test_render_tolerates_pre_speculation_reports(self, report):
-        """Reports recorded before the macro columns existed render
-        with placeholders, not KeyError."""
-        legacy = json.loads(json.dumps(report))
-        for key in ("macro_steps", "macro_insts", "macro_guard_aborts",
-                    "macro_abort_causes"):
-            del legacy["cells"]["tiny-stall"][key]
-        assert "tiny-stall" in bench.render_report(legacy)
+    def test_render_tolerates_pre_speculation_reports(self):
+        """Committed reports recorded while the removed speculation
+        layer still added its counter columns render every cell."""
+        with open(os.path.join(REPO_ROOT, "benchmarks",
+                               "BENCH_baseline.json")) as handle:
+            legacy = json.load(handle)
+        rendered = bench.render_report(legacy)
+        for cell_id in legacy["cells"]:
+            assert cell_id in rendered
 
 
 class TestBenchCli:

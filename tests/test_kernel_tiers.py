@@ -1,11 +1,15 @@
 """The kernel registry and the specializing tier's machinery.
 
-Bit-identity of the generated kernels is pinned elsewhere (the golden
-digests and the advance-vs-step fuzz both run per tier); this module
-covers the *selection* machinery: the ``REPRO_KERNEL`` knob, the CLI
-flag, fallback for uncovered policies (never an error), per-process
+Bit-identity of the generated kernels is pinned mostly elsewhere (the
+golden digests and the advance-vs-step fuzz both run per tier); this
+module covers the *selection* machinery: the ``REPRO_KERNEL`` knob, the
+CLI flag, fallback for uncovered policies (never an error), per-process
 memoization by machine shape, per-``run()`` re-resolution of the
-mutable key folds, and knob propagation into process-pool workers.
+mutable key folds, and knob propagation into process-pool workers.  It
+also pins python-vs-specialized identity on the machine's seam
+scenarios — mispredict redirects, MSHR-full requeues, runahead entry
+and exit, and a resource-squeezed machine — each with its premise
+asserted so a drifted workload cannot hollow the test out.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import pytest
 
 from repro.config import KERNEL_ENV_VAR, baseline, kernel_mode
 from repro.core.kernel_cache import (cache_info, clear_cache,
-                                     specialized_run_loop)
+                                     kernel_filename, specialized_run_loop)
 from repro.core.kernel_gen import specialization_key
 from repro.core.processor import SMTProcessor
 from repro.errors import ConfigError
@@ -49,14 +53,14 @@ def test_kernel_mode_env_values(monkeypatch):
 
 
 def test_cli_kernel_flag_sets_env(monkeypatch):
-    from repro.cli import _apply_speculate, build_parser
+    from repro.cli import _apply_kernel, build_parser
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     args = build_parser().parse_args(["table1", "--kernel", "python"])
-    _apply_speculate(args)
+    _apply_kernel(args)
     assert os.environ[KERNEL_ENV_VAR] == "python"
     # absent flag leaves the environment alone
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    _apply_speculate(build_parser().parse_args(["table1"]))
+    _apply_kernel(build_parser().parse_args(["table1"]))
     assert KERNEL_ENV_VAR not in os.environ
 
 
@@ -163,13 +167,88 @@ def test_kernel_source_attached():
     compile(loop.__kernel_source__, "<kernel-gen>", "exec")  # re-parses
 
 
+def test_distinct_shapes_get_distinct_code_filenames():
+    """Profilers and tracebacks key on ``co_filename``: each machine
+    shape compiles under its own name, stable for equal keys."""
+    first = specialized_run_loop(_processor().pipeline)
+    other = specialized_run_loop(
+        _processor(policy="rat", benchmarks=("art",)).pipeline)
+    name = first.__code__.co_filename
+    assert name != other.__code__.co_filename
+    assert name == kernel_filename(first.__kernel_key__)
+    assert name.startswith("<kernel-gen:") and name.endswith(">")
+    assert len(name) == len("<kernel-gen:>") + 12
+
+
+# --- tier identity on the machine's seam scenarios --------------------------
+
+
+def _both_tiers(monkeypatch, policy, benchmarks, trace_len, seed,
+                **overrides):
+    """Run one cell under each tier; assert identical results and
+    return the python-tier pipeline for premise checks."""
+    results = {}
+    pipelines = {}
+    for mode in ("python", "specialized"):
+        monkeypatch.setenv(KERNEL_ENV_VAR, mode)
+        traces = [generate_trace(name, trace_len, seed)
+                  for name in benchmarks]
+        config = baseline().with_policy(policy, **overrides)
+        processor = SMTProcessor(config, traces)
+        pipelines[mode] = processor.pipeline
+        results[mode] = processor.run(min_passes=1,
+                                      max_cycles=200_000).to_dict()
+    # The specialized leg really ran a generated kernel, not a fallback.
+    assert resolve_run_loop(pipelines["specialized"]) is not python_run_loop
+    assert results["specialized"] == results["python"]
+    return pipelines["python"]
+
+
+def test_tiers_agree_on_mispredict_redirect(monkeypatch):
+    """A mispredict redirect squashes the fetch queue mid-stream."""
+    pipeline = _both_tiers(monkeypatch, "icount", ("art", "mcf"), 400, 11)
+    assert pipeline.predictor.mispredictions > 0, (
+        "test premise broken: no branch ever mispredicted; pick "
+        "another workload/seed")
+
+
+def test_tiers_agree_on_mshr_full_requeue(monkeypatch):
+    """A tiny MSHR file forces load reject/requeue windows."""
+    pipeline = _both_tiers(monkeypatch, "rat", ("art", "mcf"), 400, 7,
+                           mshr_entries=2)
+    assert pipeline.mem.mshr.rejects > 0, (
+        "test premise broken: no load was ever rejected; shrink "
+        "mshr_entries further")
+
+
+def test_tiers_agree_on_runahead_entry_exit(monkeypatch):
+    """Runahead entry (at commit) and exit (checkpoint restore) flip
+    the thread mode between dispatch stages."""
+    pipeline = _both_tiers(monkeypatch, "rat", ("mcf", "art"), 400, 3)
+    episodes = sum(thread.stats.runahead_episodes
+                   for thread in pipeline.threads)
+    assert episodes > 0, (
+        "test premise broken: no runahead episode; pick a longer or "
+        "more memory-bound workload")
+
+
+def test_tiers_agree_on_squeezed_machine(monkeypatch):
+    """A small ROB and LS queue keep dispatch chronically short of
+    headroom."""
+    pipeline = _both_tiers(monkeypatch, "rat", ("art", "mcf"), 400, 7,
+                           rob_size=24, ls_iq_size=6)
+    assert pipeline.gstats.dispatch_stalls > 0, (
+        "test premise broken: dispatch never stalled; shrink the "
+        "machine further")
+
+
 # --- knob propagation into workers ------------------------------------------
 
 
 def test_process_pool_workers_inherit_kernel_choice(monkeypatch):
     """The tier request travels to process-pool workers via the
-    environment, like ``REPRO_SPECULATE``; the pooled results must be
-    bit-identical to a serial python-tier run."""
+    environment; the pooled results must be bit-identical to a serial
+    python-tier run."""
     from repro.sim.engine import SimEngine, SweepCell
     from repro.sim.executors import ProcessPoolBackend, SerialBackend
     from repro.sim.runner import RunSpec
