@@ -29,7 +29,12 @@ from typing import Dict, List, Sequence, Tuple
 from .astutil import dotted, iter_functions
 from .model import Finding, LintContext
 from .registry import Rule, rule
-from .tiersync import KERNEL_GEN, KernelGenError, generated_kernels
+from ..core.astrewrite import SubstitutionError
+from .tiersync import generated_kernels
+
+#: Where findings in derived kernels are anchored (their line numbers
+#: are generated-source lines, quoted in the message).
+KERNEL_GEN = "core/kernel_gen.py"
 
 #: The guarded fast paths: (module relpath, dotted qualname).  These are
 #: the per-instruction/per-cycle workhorses the bench matrix times.
@@ -52,9 +57,9 @@ HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("branch/perceptron.py", "PerceptronPredictor.predict"),
     ("core/thread.py", "ThreadContext.next_inst"),
     ("sim/fame.py", "fame_run"),
-    # The kernel-tier entry points: the portable FAME loop and the
-    # emitters whose *output* is the specialized per-cycle body (keeping
-    # the generators clean keeps the generated loops clean).
+    # The kernel-tier entry points: the portable FAME loop, the
+    # resolver and the compile-and-cache front (the derived loops
+    # themselves are checked below).
     ("sim/kernels.py", "python_run_loop"),
     ("sim/kernels.py", "resolve_run_loop"),
     ("core/kernel_cache.py", "specialized_run_loop"),
@@ -215,17 +220,18 @@ class HotPathRule(Rule):
         return findings
 
     def _check_kernels(self, ctx: LintContext) -> List[Finding]:
-        """The generated kernels are hot paths too — feed each coverage
-        class's emitted source through the same three checks, so an
-        emitter edit that would generate a sloppy loop fails here even
-        though the sloppy code never exists as a file."""
-        if ctx.file(KERNEL_GEN) is None:
+        """The derived kernels are hot paths too — feed each coverage
+        class's source through the same three checks, so an edit that
+        would derive a sloppy loop fails here even though the sloppy
+        code never exists as a file."""
+        if ctx.file("core/pipeline.py") is None:
             return []
         try:
             kernels = generated_kernels(ctx)
-        except KernelGenError as exc:
+        except SubstitutionError as exc:
             return [Finding(rule=self.name, path=KERNEL_GEN, line=1,
-                            message=str(exc))]
+                            message=("cannot check the derived kernels: "
+                                     f"{exc}"))]
         findings: List[Finding] = []
         for label, _key, source in kernels:
             tree = ast.parse(source)

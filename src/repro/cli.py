@@ -157,15 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=("auto", "python", "specialized"),
+    parser.add_argument("--kernel", choices=("auto", "python"),
                         default=None,
                         help="run-loop tier driving each cell: 'auto' "
-                             "(default; the config-folded specialized "
-                             "kernel where the machine shape is covered, "
-                             "the portable loop elsewhere), 'python' "
-                             "(portable loop always), 'specialized' "
-                             "(request the compiled kernel; uncovered "
-                             "shapes still fall back, never error). "
+                             "(default; the config-folded kernel derived "
+                             "from the pipeline where the machine shape "
+                             "is covered, the portable loop elsewhere) "
+                             "or 'python' (portable loop always). "
                              "Sets REPRO_KERNEL for this invocation, "
                              "workers included; results are "
                              "bit-identical in every tier")
@@ -375,7 +373,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
                              "forced 'python' run-loop tier and record "
                              "seconds_python/kernel_speedup per cell "
                              "(same-session evidence for the "
-                             "specialized tier)")
+                             "derived-kernel tier)")
     _add_kernel_argument(parser)
     return parser
 

@@ -32,25 +32,22 @@ from .errors import ConfigError
 
 #: Environment switch for the simulation-kernel tier (which
 #: implementation of the pipeline run loop drives a cell; see
-#: :mod:`repro.sim.kernels`).  Values: ``auto`` / ``python`` /
-#: ``specialized``.
+#: :mod:`repro.sim.kernels`).  Values: ``auto`` / ``python``.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-_KERNEL_MODES = ("auto", "python", "specialized")
+_KERNEL_MODES = ("auto", "python")
 
 
 def kernel_mode() -> str:
-    """Resolve the kernel-tier switch: ``auto|python|specialized``.
+    """Resolve the kernel-tier switch: ``auto|python``.
 
-    * ``python`` — the portable pure-Python run loop (the fallback tier
-      every other tier must match bit for bit).
-    * ``specialized`` — request the source-generating specializer
-      (:mod:`repro.core.kernel_gen`): a run loop compiled per (config
-      shape x policy class) with the machine constants folded in.  A
-      policy/config the generator does not cover still falls back to
-      the python tier — selection is a request, never an error.
-    * ``auto`` (default) — ``specialized`` where covered, ``python``
-      elsewhere.
+    * ``python`` — the portable pure-Python run loop (the reference
+      tier every other tier must match bit for bit).
+    * ``auto`` (default) — the derived kernel
+      (:mod:`repro.core.kernel_gen`): a run loop compiled per machine
+      shape with the machine constants folded in, where the shape is
+      covered; ``python`` elsewhere.  Selection is a request, never an
+      error.
 
     Deliberately an environment knob rather than an :class:`SMTConfig`
     field: the frozen config's ``to_dict`` is the canonical cache-key

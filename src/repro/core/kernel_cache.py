@@ -1,9 +1,12 @@
-"""Per-process memoization of generated pipeline kernels.
+"""Per-process memoization of derived pipeline kernels.
 
 :func:`specialized_run_loop` is the compile-and-cache front of the
-specializing kernel tier (:mod:`repro.core.kernel_gen`): the first
-pipeline of a given machine shape pays one source emission +
-``compile()`` (a few ms); every subsequent pipeline with an equal
+derived-kernel tier (:mod:`repro.core.kernel_gen`): the first
+pipeline of a given machine shape pays one derivation + ``compile()``
+(under 10 ms once the process has derived a kernel of the same
+feature combination, about 100 ms for its very first kernel; see
+:mod:`repro.core.kernel_gen`); every
+subsequent pipeline with an equal
 :class:`~repro.core.kernel_gen.KernelKey` — across cells, sweeps and
 repeated runs in the same process — reuses the compiled loop.  Worker
 processes of the process-pool executor each hold their own cache,
@@ -12,7 +15,7 @@ via the ``REPRO_KERNEL`` environment knob).
 
 The cache key deliberately excludes the policy *class*: only the folded
 policy facts in the key (runahead use, hook presence, skip
-eligibility) shape the emitted source, so e.g. two icount-family
+eligibility) shape the derived source, so e.g. two icount-family
 policies of identical shape share one kernel.
 
 Each kernel is compiled under its own code filename
@@ -26,15 +29,17 @@ import hashlib
 from typing import Dict, Optional
 
 from ..isa import OP_FU_BY_CODE, OP_QUEUE_BY_CODE
-from .kernel_gen import (KernelKey, emit_kernel_source, kernel_namespace,
+from .kernel_gen import (KernelKey, derive_kernel_source, kernel_namespace,
                          specialization_key)
 
-# The generated issue stage folds the FU-kind lookup OP_FU_BY_CODE[op]
+# The derived issue stage folds the FU-kind lookup OP_FU_BY_CODE[op]
 # to the issue-queue-kind literal; that is only sound while the two
-# code-indexed tables coincide.  Checked at import so an ISA change
-# that splits them fails loudly, not with silent FU misaccounting.
-assert list(OP_QUEUE_BY_CODE) == list(OP_FU_BY_CODE), \
-    "kernel specializer assumes queue kind == FU kind per op code"
+# code-indexed tables coincide.  Checked at import (an explicit raise,
+# so ``python -O`` keeps it) so an ISA change that splits them fails
+# loudly, not with silent FU misaccounting.
+if list(OP_QUEUE_BY_CODE) != list(OP_FU_BY_CODE):
+    raise ImportError(
+        "kernel specializer assumes queue kind == FU kind per op code")
 
 _KERNELS: Dict[KernelKey, object] = {}
 
@@ -48,16 +53,21 @@ def kernel_filename(key: KernelKey) -> str:
 def specialized_run_loop(pipeline) -> Optional[object]:
     """The compiled run loop for this pipeline's shape, or None.
 
-    None means the shape is outside the specializer's envelope (an
-    unregistered policy subclass, too many threads); the caller keeps
-    the portable python loop.  Never raises on uncovered input.
+    None means the shape is outside the kernel tier's envelope (an
+    unregistered policy subclass, too many threads, a python tier
+    installed without source); the caller keeps the portable python
+    loop.  Never raises on uncovered input; raises
+    :class:`~repro.core.astrewrite.SubstitutionError` if the python
+    tier drifted from the derivation's declared operations.
     """
     key = specialization_key(pipeline)
     if key is None:
         return None
     kernel = _KERNELS.get(key)
     if kernel is None:
-        source = emit_kernel_source(key)
+        source = derive_kernel_source(key)
+        if source is None:
+            return None
         namespace = kernel_namespace()
         exec(compile(source, kernel_filename(key), "exec"), namespace)
         kernel = namespace["_kernel_run"]

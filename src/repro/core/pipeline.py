@@ -547,28 +547,22 @@ class SMTPipeline:
                 inst.src_inv_mask |= 1
             if inst.psrc2 == preg:
                 inst.src_inv_mask |= 2
-        inst.pending_srcs -= 1
-        if inst.pending_srcs > 0:
+        pending = inst.pending_srcs - 1
+        inst.pending_srcs = pending
+        if pending > 0:
             return
-        if self._operands_invalid(inst):
+        # Fold test: does any operand needed for execution carry INV?
+        # Validity was latched into src_inv_mask when each operand became
+        # known (dispatch for already-ready sources, wakeup for the rest).
+        # Stores fold only on an invalid *address* (src1); invalid store
+        # data merely marks the forwarded value invalid (§3.3, runahead
+        # cache discussion).
+        mask = inst.src_inv_mask
+        if (mask & 1) if inst.is_store else mask:
             self._fold_worklist.append(inst)
         else:
             inst.state = _READY
             self.queues[OP_QUEUE_BY_CODE[inst.op]]._ready.append(inst)
-
-    def _operands_invalid(self, inst: DynInst) -> bool:
-        """Fold test: does any operand needed for execution carry INV?
-
-        Validity was latched into ``src_inv_mask`` when each operand became
-        known (dispatch for already-ready sources, wakeup for the rest).
-        Stores fold only on an invalid *address* (src1); invalid store data
-        merely marks the forwarded value invalid (§3.3, runahead cache
-        discussion).
-        """
-        mask = inst.src_inv_mask
-        if inst.is_store:
-            return bool(mask & 1)
-        return mask != 0
 
     def _fold(self, inst: DynInst, now: int) -> None:
         """Squash-free cancellation: complete instantly with an INV result."""
@@ -628,6 +622,7 @@ class SMTPipeline:
         # per-instruction helpers inlined (the per-inst hot path).
         if thread.mode is _NORMAL:
             last_index = thread.last_index
+            rename = thread.rename
             gstats = self.gstats
             while budget > 0 and window:
                 head = window[0]
@@ -649,7 +644,7 @@ class SMTPipeline:
                         else:
                             klass = 1
                             arch_index = dest_arch - _NINT
-                        old = thread.rename.commit_dest(
+                        old = rename.commit_dest(
                             klass, arch_index, head.pdest)
                         if old != head.pdest:
                             self._release_preg(thread, klass, old)
@@ -686,9 +681,11 @@ class SMTPipeline:
             if dest_arch == NO_REG:
                 continue
             if dest_arch < _NINT:
-                klass, file = 0, int_file
+                klass = 0
+                file = int_file
             else:
-                klass, file = 1, fp_file
+                klass = 1
+                file = fp_file
             old = head.old_pdest
             if old != NO_REG and not file.pinned[old]:
                 # Inlined _release_preg (pinned pre-checked just above).
@@ -901,44 +898,40 @@ class SMTPipeline:
                              now: int) -> None:
         """Runahead loads: cache hits complete normally; L2 misses become
         prefetches and produce INV at L2-lookup time (§3.2)."""
-        l1_latency = self._dcache_latency
-        detect_latency = self._l2_detect_latency
         forwarded = self.runahead.load_forward_validity(thread, inst)
         if forwarded is not None:
             inst.invalid = not forwarded
-            inst.complete_cycle = now + l1_latency
-            self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
-            return
-        if not self.runahead.prefetch:
+            cycle = now + self._dcache_latency
+        elif not self.runahead.prefetch:
             # Figure 4 ablation: no L2/memory traffic from runahead.
             level = self.mem.peek_data(inst.addr)
             if level == "l1":
-                inst.complete_cycle = now + l1_latency
+                cycle = now + self._dcache_latency
             elif level == "l2":
-                inst.complete_cycle = now + detect_latency
+                cycle = now + self._l2_detect_latency
             else:
                 inst.invalid = True
-                inst.complete_cycle = now + detect_latency
+                cycle = now + self._l2_detect_latency
                 thread.no_retrigger.add(
                     inst.pass_no * thread.retrigger_stride
                     + inst.trace_index)
-            self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
-            return
-        packed = self.mem.data_access_packed(inst.addr, False, now,
-                                             thread.tid, speculative=True)
-        if packed < 0:
-            # Prefetch dropped (MSHRs full): bogus value, no retry.
-            inst.invalid = True
-            inst.complete_cycle = now + l1_latency
-        elif packed & 2:
-            # Long-latency: invalidate the dest, keep the fill as prefetch.
-            inst.invalid = True
-            inst.complete_cycle = min(packed >> 2, now + detect_latency)
-            if self.runahead.stop_fetch_on_l2_miss:
-                thread.gate_fetch_until(thread.runahead_trigger_ready)
         else:
-            inst.complete_cycle = packed >> 2
-        cycle = inst.complete_cycle
+            packed = self.mem.data_access_packed(
+                inst.addr, False, now, thread.tid, speculative=True)
+            if packed < 0:
+                # Prefetch dropped (MSHRs full): bogus value, no retry.
+                inst.invalid = True
+                cycle = now + self._dcache_latency
+            elif packed & 2:
+                # Long-latency: invalidate the dest, keep the fill as
+                # prefetch.
+                inst.invalid = True
+                cycle = min(packed >> 2, now + self._l2_detect_latency)
+                if self.runahead.stop_fetch_on_l2_miss:
+                    thread.gate_fetch_until(thread.runahead_trigger_ready)
+            else:
+                cycle = packed >> 2
+        inst.complete_cycle = cycle
         events = self._events                # inlined schedule()
         bucket = events.get(cycle)
         if bucket is None:
@@ -1058,11 +1051,12 @@ class SMTPipeline:
         if queue.size >= queue.capacity:   # inlined is_full
             return False
         dest_arch = inst.dest_arch
-        dest_file: Optional[PhysRegFile] = None
         if dest_arch != NO_REG:
             dest_file = self.int_file if dest_arch < _NINT else self.fp_file
             if not dest_file._free:   # free_count == 0, sans property call
                 return False
+        else:
+            dest_file = None
 
         rob._queues[inst.tid].append(inst)   # inlined append, checked above
         rob._occupancy += 1
@@ -1128,12 +1122,13 @@ class SMTPipeline:
             if dest_arch < _NINT:
                 klass = 0
                 arch_index = dest_arch
+                fmap = front[0]
             else:
                 klass = 1
                 arch_index = dest_arch - _NINT
+                fmap = front[1]
             inst.pdest = preg
-            fmap = front[klass]                  # inlined rename_dest
-            inst.old_pdest = fmap[arch_index]
+            inst.old_pdest = fmap[arch_index]    # inlined rename_dest
             fmap[arch_index] = preg
             thread.regs_held[klass] += 1
             # A renamed write supersedes any early-reclaimed INV producer.

@@ -1,29 +1,27 @@
-"""The kernel registry: which run-loop implementation drives a cell.
+"""Which run loop drives a cell: the python tier or a derived kernel.
 
-Mirrors the executor/policy/exhibit registries: implementations register
-under a CLI-visible name, and :func:`resolve_run_loop` picks one per
-:meth:`SMTProcessor.run <repro.core.processor.SMTProcessor.run>` call.
-Two tiers exist:
+:func:`resolve_run_loop` picks one per :meth:`SMTProcessor.run
+<repro.core.processor.SMTProcessor.run>` call.  Two tiers exist:
 
 ``python``
-    The portable FAME measurement loop (the reference implementation,
-    moved verbatim from ``SMTProcessor.run``).  Every other tier must
-    match it bit for bit.
+    The portable FAME measurement loop (:func:`python_run_loop`, the
+    reference implementation).  Every other tier must match it bit for
+    bit.
 
-``specialized``
-    The source-generating specializer
-    (:mod:`repro.core.kernel_gen` / :mod:`repro.core.kernel_cache`):
-    a config-folded transcription of the whole pipeline hot loop,
-    compiled once per machine shape per process.
+derived kernel
+    A config-folded copy of the whole pipeline hot loop, derived from
+    the ``core/pipeline.py`` stage bodies and compiled once per machine
+    shape per process (:mod:`repro.core.kernel_gen` /
+    :mod:`repro.core.kernel_cache`).
 
 Selection is controlled by the ``REPRO_KERNEL`` environment knob
-(``auto`` | ``python`` | ``specialized``, resolved by
-:func:`repro.config.kernel_mode` — deliberately *not* an
-:class:`~repro.config.SMTConfig` field: by the bit-identity contract
-the switch cannot change any result, so the config cache key — and the
-result-cache salt — stay untouched).  Requesting ``specialized`` for a
-shape the generator does not cover silently falls back to ``python``:
-tier selection is a request, never an error and never a divergence.
+(``auto`` | ``python``, resolved by :func:`repro.config.kernel_mode` —
+deliberately *not* an :class:`~repro.config.SMTConfig` field: by the
+bit-identity contract the switch cannot change any result, so the
+config cache key — and the result-cache salt — stay untouched).
+``auto`` falls back to ``python`` for a shape the kernel tier does not
+cover: tier selection is a request, never an error and never a
+divergence.
 
 This module reads no environment itself (determinism scope): the env
 read happens inside :mod:`repro.config`, which is the sanctioned home
@@ -32,27 +30,10 @@ for knob resolution.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
 from ..config import kernel_mode
-
-#: Registered kernel tiers, name -> resolver.  A resolver takes a
-#: pipeline and returns a run loop ``(pipeline, min_passes, cap) ->
-#: bool`` (True = truncated at the cycle cap), or None to decline.
-_KERNELS: Dict[str, Callable] = {}
-
-
-def kernel(name: str) -> Callable:
-    """Decorator registering a kernel resolver under a CLI name."""
-    def _register(func: Callable) -> Callable:
-        _KERNELS[name] = func
-        return func
-    return _register
-
-
-def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel tier names, sorted."""
-    return tuple(sorted(_KERNELS))
+from ..core.kernel_cache import specialized_run_loop
 
 
 def python_run_loop(pipeline, min_passes: int, cap: int) -> bool:
@@ -75,30 +56,19 @@ def python_run_loop(pipeline, min_passes: int, cap: int) -> bool:
         advance(cap)
 
 
-@kernel("python")
-def _python_kernel(pipeline):
-    return python_run_loop
-
-
-@kernel("specialized")
-def _specialized_kernel(pipeline):
-    from ..core.kernel_cache import specialized_run_loop
-    return specialized_run_loop(pipeline)
-
-
 def resolve_run_loop(pipeline) -> Callable:
     """Pick the run loop for one ``run()`` call.
 
-    ``python`` forces the portable loop; ``specialized`` and ``auto``
-    both request the specializer and fall back to the portable loop for
-    any shape it declines (third-party policy, wide machine).  Resolved
-    per call, not per pipeline: the mutable ``cycle_skip`` switch the
-    key folds is re-read each time, so tests that flip it between runs
-    get the matching kernel variant.
+    ``python`` forces the portable loop; ``auto`` requests the derived
+    kernel and falls back to the portable loop for any shape it
+    declines (third-party policy, wide machine, a python tier shipped
+    without source).  Resolved per call, not per pipeline: the mutable
+    ``cycle_skip`` switch the key folds is re-read each time, so tests
+    that flip it between runs get the matching kernel variant.
     """
     if kernel_mode() == "python":
         return python_run_loop
-    loop = _KERNELS["specialized"](pipeline)
+    loop = specialized_run_loop(pipeline)
     if loop is None:
         return python_run_loop
     return loop

@@ -65,12 +65,12 @@ def _run(policy, benchmarks, trace_len, seed, cycle_skip,
     return result, processor.pipeline
 
 
-@pytest.fixture(params=["python", "specialized"])
+@pytest.fixture(params=["python", "auto"])
 def kernel_tier(request, monkeypatch):
-    """Fuzz each cell under both run-loop tiers: under ``specialized``
-    the skip-on/skip-off pair exercises two *different* generated
-    kernels (the key folds ``skip_enabled``), so this doubles as a
-    cross-kernel equivalence check."""
+    """Fuzz each cell under both run-loop tiers: under ``auto`` the
+    skip-on/skip-off pair exercises two *different* derived kernels
+    (the key folds ``skip_enabled``), so this doubles as a cross-kernel
+    equivalence check."""
     monkeypatch.setenv("REPRO_KERNEL", request.param)
     return request.param
 

@@ -98,13 +98,13 @@ def test_golden_file_matches_matrix(golden):
     assert sorted(golden["digests"]) == sorted(GOLDEN_CELLS)
 
 
-@pytest.fixture(params=["python", "specialized"])
+@pytest.fixture(params=["python", "auto"])
 def kernel_tier(request, monkeypatch):
     """Run the depending test once per kernel tier.
 
-    The digests were recorded long before the specialized tier existed,
-    so a pass under ``specialized`` proves the generated kernels are
-    bit-identical to the original pipeline, not merely to each other.
+    The digests were recorded long before the kernel tier existed, so a
+    pass under ``auto`` proves the derived kernels are bit-identical to
+    the original pipeline, not merely to each other.
     """
     monkeypatch.setenv("REPRO_KERNEL", request.param)
     return request.param

@@ -1,33 +1,37 @@
-"""The kernel registry and the specializing tier's machinery.
+"""Tier selection and the derived-kernel tier's machinery.
 
-Bit-identity of the generated kernels is pinned mostly elsewhere (the
-golden digests and the advance-vs-step fuzz both run per tier); this
-module covers the *selection* machinery: the ``REPRO_KERNEL`` knob, the
-CLI flag, fallback for uncovered policies (never an error), per-process
-memoization by machine shape, per-``run()`` re-resolution of the
-mutable key folds, and knob propagation into process-pool workers.  It
-also pins python-vs-specialized identity on the machine's seam
-scenarios — mispredict redirects, MSHR-full requeues, runahead entry
-and exit, and a resource-squeezed machine — each with its premise
-asserted so a drifted workload cannot hollow the test out.
+Bit-identity of the derived kernels is pinned mostly elsewhere (the
+golden digests, the advance-vs-step fuzz and the shape-space test all
+run per tier); this module covers the *selection* machinery: the
+``REPRO_KERNEL`` knob, the CLI flag, fallback for uncovered policies
+and source-less installs (never an error), per-process memoization by
+machine shape, per-``run()`` re-resolution of the mutable key folds,
+knob propagation into process-pool workers, and the import-time check
+the FU-kind fold rests on.  It also pins python-vs-kernel identity on
+the machine's seam scenarios — mispredict redirects, MSHR-full
+requeues, runahead entry and exit, and a resource-squeezed machine —
+each with its premise asserted so a drifted workload cannot hollow the
+test out.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 
 import pytest
 
+from repro import isa
 from repro.config import KERNEL_ENV_VAR, baseline, kernel_mode
+from repro.core import kernel_cache, kernel_gen
 from repro.core.kernel_cache import (cache_info, clear_cache,
                                      kernel_filename, specialized_run_loop)
 from repro.core.kernel_gen import specialization_key
 from repro.core.processor import SMTProcessor
 from repro.errors import ConfigError
 from repro.policies.icount import ICountPolicy
-from repro.sim.kernels import (kernel_names, python_run_loop,
-                               resolve_run_loop)
+from repro.sim.kernels import python_run_loop, resolve_run_loop
 from repro.trace.generator import generate_trace
 
 
@@ -44,12 +48,13 @@ def _processor(policy="icount", benchmarks=("art", "mcf"),
 def test_kernel_mode_env_values(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
     assert kernel_mode() == "auto"
-    for value in ("auto", "python", "specialized", " PYTHON "):
+    for value in ("auto", "python", " PYTHON "):
         monkeypatch.setenv(KERNEL_ENV_VAR, value)
         assert kernel_mode() == value.strip().lower()
-    monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
-    with pytest.raises(ConfigError):
-        kernel_mode()
+    for value in ("fortran", "specialized"):
+        monkeypatch.setenv(KERNEL_ENV_VAR, value)
+        with pytest.raises(ConfigError):
+            kernel_mode()
 
 
 def test_cli_kernel_flag_sets_env(monkeypatch):
@@ -67,15 +72,11 @@ def test_cli_kernel_flag_sets_env(monkeypatch):
 def test_bench_cli_takes_kernel_flag():
     from repro.cli import build_bench_parser
     args = build_bench_parser().parse_args(["--quick", "--kernel",
-                                            "specialized"])
-    assert args.kernel == "specialized"
+                                            "python"])
+    assert args.kernel == "python"
 
 
-# --- registry + selection ---------------------------------------------------
-
-
-def test_registered_tiers():
-    assert kernel_names() == ("python", "specialized")
+# --- selection --------------------------------------------------------------
 
 
 def test_python_mode_forces_portable_loop(monkeypatch):
@@ -96,7 +97,7 @@ def test_resolution_rereads_mutable_switches(monkeypatch):
     """``cycle_skip`` is a mutable pipeline flag tests flip between
     runs; the key folds it, so re-resolving must yield the matching
     kernel variant, not the memoized first one."""
-    monkeypatch.setenv(KERNEL_ENV_VAR, "specialized")
+    monkeypatch.setenv(KERNEL_ENV_VAR, "auto")
     processor = _processor()
     with_skip = resolve_run_loop(processor.pipeline)
     processor.pipeline.cycle_skip = False
@@ -118,7 +119,7 @@ class OpaqueFetchOrder(ICountPolicy):
 
 
 def test_uncovered_policy_falls_back_to_python(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV_VAR, "specialized")
+    monkeypatch.setenv(KERNEL_ENV_VAR, "auto")
     traces = [generate_trace("art", 200, 1)]
     config = baseline()
     processor = SMTProcessor(config, traces,
@@ -134,7 +135,7 @@ def test_uncovered_policy_falls_back_to_python(monkeypatch):
 def test_fallback_matches_python_tier(monkeypatch):
     """The fallback is the python tier, bit for bit."""
     results = {}
-    for mode in ("python", "specialized"):
+    for mode in ("python", "auto"):
         monkeypatch.setenv(KERNEL_ENV_VAR, mode)
         traces = [generate_trace("art", 200, 1)]
         config = baseline()
@@ -142,7 +143,19 @@ def test_fallback_matches_python_tier(monkeypatch):
                                  policy=OpaqueFetchOrder(config))
         results[mode] = processor.run(min_passes=1,
                                       max_cycles=200_000).to_dict()
-    assert results["python"] == results["specialized"]
+    assert results["python"] == results["auto"]
+
+
+def test_sourceless_install_falls_back_to_python(monkeypatch):
+    """A python tier shipped without ``.py`` sources cannot be derived
+    from: the covered shape runs on the portable loop instead."""
+    monkeypatch.setattr(kernel_gen, "_PACKAGE_DERIVER",
+                        kernel_gen.KernelDeriver(lambda relpath: None))
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    clear_cache()
+    processor = _processor()
+    assert specialization_key(processor.pipeline) is not None
+    assert resolve_run_loop(processor.pipeline) is python_run_loop
 
 
 # --- memoization ------------------------------------------------------------
@@ -189,7 +202,7 @@ def _both_tiers(monkeypatch, policy, benchmarks, trace_len, seed,
     return the python-tier pipeline for premise checks."""
     results = {}
     pipelines = {}
-    for mode in ("python", "specialized"):
+    for mode in ("python", "auto"):
         monkeypatch.setenv(KERNEL_ENV_VAR, mode)
         traces = [generate_trace(name, trace_len, seed)
                   for name in benchmarks]
@@ -198,9 +211,9 @@ def _both_tiers(monkeypatch, policy, benchmarks, trace_len, seed,
         pipelines[mode] = processor.pipeline
         results[mode] = processor.run(min_passes=1,
                                       max_cycles=200_000).to_dict()
-    # The specialized leg really ran a generated kernel, not a fallback.
-    assert resolve_run_loop(pipelines["specialized"]) is not python_run_loop
-    assert results["specialized"] == results["python"]
+    # The auto leg really ran a derived kernel, not a fallback.
+    assert resolve_run_loop(pipelines["auto"]) is not python_run_loop
+    assert results["auto"] == results["python"]
     return pipelines["python"]
 
 
@@ -269,7 +282,23 @@ def test_process_pool_workers_inherit_kernel_choice(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV_VAR, "python")
     reference = fingerprints(
         SimEngine(backend=SerialBackend()).run_cells(cells))
-    monkeypatch.setenv(KERNEL_ENV_VAR, "specialized")
+    monkeypatch.setenv(KERNEL_ENV_VAR, "auto")
     pooled = fingerprints(
         SimEngine(backend=ProcessPoolBackend(jobs=2)).run_cells(cells))
     assert pooled == reference
+
+
+# --- the import-time table check --------------------------------------------
+
+
+def test_split_queue_and_fu_tables_refuse_import(monkeypatch):
+    """The derived issue stage folds ``OP_FU_BY_CODE[op]`` to the queue
+    kind; tables that disagree must stop the import with an explicit
+    raise (an ``assert`` would vanish under ``python -O``)."""
+    split = list(isa.OP_FU_BY_CODE)
+    split[0] = (split[0] + 1) % 3
+    monkeypatch.setattr(isa, "OP_FU_BY_CODE", split)
+    with pytest.raises(ImportError, match="queue kind == FU kind"):
+        importlib.reload(kernel_cache)
+    monkeypatch.undo()
+    importlib.reload(kernel_cache)
