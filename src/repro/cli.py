@@ -54,7 +54,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .config import KERNEL_ENV_VAR, baseline
+from .config import KERNEL_ENV_VAR, KERNEL_MODES, baseline
 from .errors import ManifestError
 from .experiments import Campaign, ExhibitContext, exhibit_names
 from .experiments.common import RENDER_FORMATS
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=("auto", "python"),
+    parser.add_argument("--kernel", choices=KERNEL_MODES,
                         default=None,
                         help="run-loop tier driving each cell: 'auto' "
                              "(default; the config-folded kernel derived "

@@ -35,7 +35,8 @@ from .errors import ConfigError
 #: :mod:`repro.sim.kernels`).  Values: ``auto`` / ``python``.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-_KERNEL_MODES = ("auto", "python")
+#: The tiers ``REPRO_KERNEL`` and ``--kernel`` accept.
+KERNEL_MODES = ("auto", "python")
 
 
 def kernel_mode() -> str:
@@ -57,9 +58,9 @@ def kernel_mode() -> str:
     bump is needed for the same reason.
     """
     value = os.environ.get(KERNEL_ENV_VAR, "auto").strip().lower()
-    if value not in _KERNEL_MODES:
+    if value not in KERNEL_MODES:
         raise ConfigError(
-            f"{KERNEL_ENV_VAR} must be one of {_KERNEL_MODES}, "
+            f"{KERNEL_ENV_VAR} must be one of {KERNEL_MODES}, "
             f"got {value!r}")
     return value
 

@@ -65,9 +65,10 @@ def _run(policy, benchmarks, trace_len, seed, cycle_skip,
     return result, processor.pipeline
 
 
-@pytest.fixture(params=["python", "auto"])
+@pytest.fixture(params=["python", "auto"], ids=["python", "specialized"])
 def kernel_tier(request, monkeypatch):
-    """Fuzz each cell under both run-loop tiers: under ``auto`` the
+    """Fuzz each cell under both run-loop tiers (the ``auto`` leg runs
+    the config-specialized kernel, hence its id): there the
     skip-on/skip-off pair exercises two *different* derived kernels
     (the key folds ``skip_enabled``), so this doubles as a cross-kernel
     equivalence check."""

@@ -98,10 +98,11 @@ def test_golden_file_matches_matrix(golden):
     assert sorted(golden["digests"]) == sorted(GOLDEN_CELLS)
 
 
-@pytest.fixture(params=["python", "auto"])
+@pytest.fixture(params=["python", "auto"], ids=["python", "specialized"])
 def kernel_tier(request, monkeypatch):
     """Run the depending test once per kernel tier.
 
+    The ``auto`` leg runs the config-specialized kernel, hence its id.
     The digests were recorded long before the kernel tier existed, so a
     pass under ``auto`` proves the derived kernels are bit-identical to
     the original pipeline, not merely to each other.

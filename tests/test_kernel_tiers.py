@@ -23,7 +23,7 @@ import os
 import pytest
 
 from repro import isa
-from repro.config import KERNEL_ENV_VAR, baseline, kernel_mode
+from repro.config import KERNEL_ENV_VAR, KERNEL_MODES, baseline, kernel_mode
 from repro.core import kernel_cache, kernel_gen
 from repro.core.kernel_cache import (cache_info, clear_cache,
                                      kernel_filename, specialized_run_loop)
@@ -77,6 +77,15 @@ def test_bench_cli_takes_kernel_flag():
 
 
 # --- selection --------------------------------------------------------------
+
+
+def test_registered_tiers():
+    """The knob and both CLI parsers accept the same two tiers."""
+    from repro.cli import build_bench_parser, build_parser
+    assert KERNEL_MODES == ("auto", "python")
+    for parser in (build_parser(), build_bench_parser()):
+        (action,) = [a for a in parser._actions if a.dest == "kernel"]
+        assert tuple(action.choices) == KERNEL_MODES
 
 
 def test_python_mode_forces_portable_loop(monkeypatch):
