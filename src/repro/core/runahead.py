@@ -23,6 +23,7 @@ RaT, and it defaults off here too (`SMTConfig.rat_runahead_cache`).
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Optional, TYPE_CHECKING
 
@@ -72,10 +73,14 @@ class RunaheadCache:
 
 
 class RunaheadController:
-    """Coordinates runahead entry/exit against the pipeline's structures."""
+    """Coordinates runahead entry/exit against the pipeline's structures.
+
+    The pipeline owns the controller, which holds it only weakly, so a
+    dropped machine is freed without a cyclic collection.
+    """
 
     def __init__(self, pipeline: "SMTPipeline") -> None:
-        self._pipeline = pipeline
+        self._pipeline = weakref.proxy(pipeline)
         config = pipeline.config
         self.fp_invalidation = config.rat_fp_invalidation
         self.prefetch = config.rat_prefetch

@@ -15,6 +15,7 @@ A policy owns two decisions each cycle:
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, TYPE_CHECKING
 
 from ..config import SMTConfig
@@ -26,7 +27,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class FetchPolicy:
-    """Base policy: fixed thread order, no gating, no runahead."""
+    """Base policy: fixed thread order, no gating, no runahead.
+
+    The pipeline owns its policy.  ``self.pipeline`` is a
+    :func:`weakref.proxy`, valid only while the processor lives (after
+    that any attribute read raises :class:`ReferenceError`), so a
+    dropped machine is freed by reference counting alone.  As
+    :meth:`attach` binds ``self.threads``, subclasses bind the other
+    pipeline *data* objects they read per cycle in :meth:`on_attach`,
+    never a bound method of the pipeline: its ``__self__`` would
+    restore the cycle.
+    """
 
     name = "base"
     uses_runahead = False
@@ -34,18 +45,16 @@ class FetchPolicy:
     def __init__(self, config: SMTConfig) -> None:
         self.config = config
         self.pipeline: "SMTPipeline" = None  # type: ignore[assignment]
+        self.threads: List["ThreadContext"] = []
 
     def attach(self, pipeline: "SMTPipeline") -> None:
         """Bind to the pipeline once its structures exist."""
-        self.pipeline = pipeline
+        self.pipeline = weakref.proxy(pipeline)
+        self.threads = pipeline.threads
         self.on_attach()
 
     def on_attach(self) -> None:
         """Hook for subclasses needing per-thread state."""
-
-    @property
-    def threads(self) -> List["ThreadContext"]:
-        return self.pipeline.threads
 
     # --- decisions ---------------------------------------------------------
 

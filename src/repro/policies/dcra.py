@@ -36,6 +36,7 @@ class DCRAPolicy(ICountPolicy):
         self._interval = self.config.dcra_sample_interval
         self._slow_weight = self.config.dcra_slow_weight
         self._fp_active = [True] * len(self.threads)
+        self._queues = self.pipeline.queues
 
     def on_cycle(self, now: int) -> None:
         if now == 0 or now % self._interval:
@@ -59,7 +60,7 @@ class DCRAPolicy(ICountPolicy):
     def _refresh_fp_activity(self) -> None:
         """A thread is FP-active if it holds FP queue entries or rename
         registers; inactive threads donate their FP share."""
-        fp_queue = self.pipeline.queues[IssueQueueKind.FP]
+        fp_queue = self._queues[IssueQueueKind.FP]
         for tid, thread in enumerate(self.threads):
             self._fp_active[tid] = bool(
                 fp_queue.per_thread[tid]
@@ -96,7 +97,7 @@ class DCRAPolicy(ICountPolicy):
 
         for kind in (IssueQueueKind.INT, IssueQueueKind.FP,
                      IssueQueueKind.LS):
-            queue = self.pipeline.queues[kind]
+            queue = self._queues[kind]
             if kind == IssueQueueKind.FP:
                 if tid not in fp_shares:
                     continue

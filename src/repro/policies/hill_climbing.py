@@ -39,6 +39,8 @@ class HillClimbingPolicy(ICountPolicy):
         self._trial_scores: List[float] = [0.0] * num
         self._epoch_start_committed = 0
         self._base_score = 0.0
+        self._gstats = self.pipeline.gstats
+        self._rob = self.pipeline.rob
 
     # --- learning ---------------------------------------------------------------
 
@@ -46,7 +48,7 @@ class HillClimbingPolicy(ICountPolicy):
         if now == 0 or now % self._epoch:
             self._enforce(now)
             return
-        committed = self.pipeline.gstats.committed
+        committed = self._gstats.committed
         score = committed - self._epoch_start_committed
         self._epoch_start_committed = committed
         self._finish_epoch(score)
@@ -97,13 +99,13 @@ class HillClimbingPolicy(ICountPolicy):
     # --- enforcement ---------------------------------------------------------------
 
     def _enforce(self, now: int) -> None:
-        pipeline = self.pipeline
+        rob = self._rob
         num = len(self.threads)
-        rob_capacity = pipeline.rob.capacity
+        rob_capacity = rob.capacity
         int_pool = max(1, self.config.int_regs - 32 * num)
         for tid, thread in enumerate(self.threads):
             share = self.shares[tid]
-            over_rob = (pipeline.rob.per_thread[tid]
+            over_rob = (rob.per_thread[tid]
                         > max(1.0, share * rob_capacity))
             over_regs = (thread.regs_held[RegClass.INT] - 32
                          > max(1.0, share * int_pool))

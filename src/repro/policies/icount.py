@@ -19,7 +19,7 @@ class ICountPolicy(FetchPolicy):
     name = "icount"
 
     def fetch_order(self, now: int) -> List[int]:
-        threads = self.pipeline.threads
+        threads = self.threads
         if len(threads) == 2:
             # The common Table 2 case, on the per-cycle hot path; the
             # tid tie-break matches sorted()'s stable order.
