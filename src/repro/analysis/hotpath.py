@@ -37,7 +37,7 @@ from .tiersync import generated_kernels
 KERNEL_GEN = "core/kernel_gen.py"
 
 #: The guarded fast paths: (module relpath, dotted qualname).  These are
-#: the per-instruction/per-cycle workhorses the bench matrix times.
+#: the per-instruction/per-cycle workhorses of every simulated cycle.
 HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("core/pipeline.py", "SMTPipeline.step"),
     ("core/pipeline.py", "SMTPipeline._process_events"),

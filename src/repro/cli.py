@@ -12,19 +12,19 @@ Examples::
     repro-smt all --shard 2/3 --cache-dir /shared/cache   # machine 2
     repro-smt all --shard 3/3 --cache-dir /shared/cache   # machine 3
     repro-smt all --cache-dir /shared/cache               # assemble union
-    repro-smt bench --quick --check benchmarks/BENCH_baseline.json
     repro-smt cache stats --cache-dir ~/.cache/repro-smt
     repro-smt cache prune --cache-dir ~/.cache/repro-smt --stale-salts
     repro-smt lint --format json
     repro-smt lint --accept-fingerprints
 
-Besides the exhibit names, four maintenance subcommands exist:
+Besides the exhibit names, three maintenance subcommands exist:
 ``plan`` emits a campaign's JSON manifest without running anything (see
-:mod:`repro.sim.manifest`), ``bench`` times representative simulation
-cells and emits a ``BENCH_<rev>.json`` report (see :mod:`repro.bench`),
-``cache`` inspects or prunes a ``--cache-dir`` result store (see
-:mod:`repro.sim.store`), and ``lint`` statically checks the package's
-reproducibility invariants (see :mod:`repro.analysis`).
+:mod:`repro.sim.manifest`), ``cache`` inspects or prunes a
+``--cache-dir`` result store (see :mod:`repro.sim.store`), and ``lint``
+statically checks the package's reproducibility invariants (see
+:mod:`repro.analysis`).  Host speed is measured outside the package:
+``simbench/run.py`` is the benchmark, and ``tools/ab.py`` compares two
+commits with it in paired, alternating runs.
 
 However many exhibits are requested, their planned simulation cells are
 unioned into **one** deduplicated batch (costliest cells first), so
@@ -81,6 +81,13 @@ def _jobs(value: str) -> int:
     return jobs
 
 
+def _positive(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def _shard(value: str) -> ShardSpec:
     try:
         return ShardSpec.parse(value)
@@ -95,22 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "Performance' (HPCA 2008): regenerate its tables "
                     "and figures on the bundled simulator.",
         epilog="Maintenance subcommands: 'repro-smt plan --help' "
-               "(emit a campaign's JSON manifest), 'repro-smt bench "
-               "--help' (wall-clock benchmark harness), 'repro-smt "
-               "cache --help' (result-store stats / pruning), "
-               "'repro-smt lint --help' (static reproducibility "
-               "checks).")
+               "(emit a campaign's JSON manifest), 'repro-smt cache "
+               "--help' (result-store stats / pruning), 'repro-smt "
+               "lint --help' (static reproducibility checks).")
     parser.add_argument("exhibit",
                         choices=sorted(exhibit_names()) + ["all"],
                         help="which exhibit to regenerate ('all' plans "
                              "every exhibit and simulates their union "
                              "as one deduplicated batch)")
-    parser.add_argument("--trace-len", type=int, default=None,
+    parser.add_argument("--trace-len", type=_positive, default=None,
                         help="instructions per thread trace "
                              "(default: RunSpec default)")
     parser.add_argument("--seed", type=int, default=None,
                         help="trace generation seed")
-    parser.add_argument("--workloads-per-class", type=int, default=None,
+    parser.add_argument("--workloads-per-class", type=_positive, default=None,
                         help="cap workloads per class for a quick look "
                              "(default: full Table 2)")
     parser.add_argument("--classes", nargs="+", default=None,
@@ -152,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "DIR/<exhibit>.<ext> in the chosen format")
     parser.add_argument("--no-progress", action="store_true",
                         help="suppress per-cell progress output")
-    _add_kernel_argument(parser)
-    return parser
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", choices=KERNEL_MODES,
                         default=None,
                         help="run-loop tier driving each cell: 'auto' "
@@ -167,6 +167,7 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
                              "Sets REPRO_KERNEL for this invocation, "
                              "workers included; results are "
                              "bit-identical in every tier")
+    return parser
 
 
 def _apply_kernel(args: argparse.Namespace) -> None:
@@ -300,11 +301,11 @@ def build_plan_parser() -> argparse.ArgumentParser:
     parser.add_argument("exhibit",
                         choices=sorted(exhibit_names()) + ["all"],
                         help="which exhibit(s) to plan")
-    parser.add_argument("--trace-len", type=int, default=None,
+    parser.add_argument("--trace-len", type=_positive, default=None,
                         help="instructions per thread trace")
     parser.add_argument("--seed", type=int, default=None,
                         help="trace generation seed")
-    parser.add_argument("--workloads-per-class", type=int, default=None,
+    parser.add_argument("--workloads-per-class", type=_positive, default=None,
                         help="cap workloads per class")
     parser.add_argument("--classes", nargs="+", default=None,
                         choices=list(WORKLOAD_CLASSES),
@@ -339,85 +340,6 @@ def plan_main(argv: List[str]) -> int:
         print(f"[wrote {args.output}]", file=sys.stderr)
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-smt bench",
-        description="Time representative simulation cells (1/2/4-thread "
-                    "ILP/MEM/MIX workloads under icount/stall/flush/rat) "
-                    "and emit a BENCH_<rev>.json report.")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized subset of the cell matrix")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell; best is kept "
-                             "(default: 3)")
-    parser.add_argument("--no-noskip", action="store_true",
-                        help="skip the cycle-skip-disabled reference "
-                             "timings (halves the runtime)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="report path (default: BENCH_<rev>.json)")
-    parser.add_argument("--check", default=None, metavar="BASELINE",
-                        help="compare calibration-normalized times "
-                             "against a baseline report; non-zero exit "
-                             "on regression beyond --tolerance")
-    parser.add_argument("--tolerance", type=float, default=2.0,
-                        help="max allowed cost ratio vs the baseline "
-                             "(default: 2.0)")
-    parser.add_argument("--compare", default=None, metavar="REPORT",
-                        help="also print per-cell speedups against "
-                             "another report (informational)")
-    parser.add_argument("--compare-kernels", action="store_true",
-                        help="additionally time every cell under the "
-                             "forced 'python' run-loop tier and record "
-                             "seconds_python/kernel_speedup per cell "
-                             "(same-session evidence for the "
-                             "derived-kernel tier)")
-    _add_kernel_argument(parser)
-    return parser
-
-
-def bench_main(argv: List[str]) -> int:
-    from . import bench
-    args = build_bench_parser().parse_args(argv)
-    _apply_kernel(args)
-    print(f"[bench] timing {len(bench.bench_cells(args.quick))} cells "
-          f"(repeats={args.repeats}"
-          f"{', quick' if args.quick else ''})", file=sys.stderr)
-    report = bench.run_bench(
-        quick=args.quick, repeats=args.repeats,
-        measure_noskip=not args.no_noskip,
-        compare_kernels=args.compare_kernels,
-        progress=lambda line: print(line, file=sys.stderr))
-    path = bench.write_report(report, args.output)
-    print(bench.render_report(report))
-    print(f"[wrote {path}]", file=sys.stderr)
-
-    for label, reference_path in (("compare", args.compare),
-                                  ("check", args.check)):
-        if not reference_path:
-            continue
-        try:
-            reference = bench.load_report(reference_path)
-        except (OSError, ValueError) as error:
-            print(f"repro-smt bench: bad --{label} report: {error}",
-                  file=sys.stderr)
-            return 2
-        drift = bench.calibration_drift_warning(report, reference)
-        if drift:
-            print(drift, file=sys.stderr)
-        for line in bench.compare_summary(report, reference):
-            print(line)
-        if label == "check":
-            failures = bench.check_report(report, reference,
-                                          args.tolerance)
-            if failures:
-                for failure in failures:
-                    print(f"REGRESSION {failure}", file=sys.stderr)
-                return 1
-            print(f"[check ok: no cell exceeds {args.tolerance:.2f}x "
-                  f"the baseline cost]")
     return 0
 
 
@@ -501,8 +423,8 @@ def lint_main(argv: List[str]) -> int:
 
 
 #: Maintenance subcommands dispatched ahead of the exhibit interface.
-SUBCOMMANDS = {"plan": plan_main, "bench": bench_main,
-               "cache": cache_main, "lint": lint_main}
+SUBCOMMANDS = {"plan": plan_main, "cache": cache_main,
+               "lint": lint_main}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import UnknownWorkloadError
+from ..errors import ConfigError, UnknownWorkloadError
 from .profiles import get_profile
 
 
@@ -119,6 +119,8 @@ def get_workloads(klass: str,
     except KeyError:
         raise UnknownWorkloadError(klass) from None
     if limit is not None:
+        if limit < 1:
+            raise ConfigError(f"workload limit must be >= 1, got {limit}")
         rows = rows[:limit]
     return [Workload(klass=klass, benchmarks=row) for row in rows]
 

@@ -33,6 +33,17 @@ class TestParser:
         assert args.workloads_per_class == 2
         assert args.classes == ["MEM2", "MEM4"]
 
+    @pytest.mark.parametrize("flag", ["--trace-len",
+                                      "--workloads-per-class"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("command", [["figure1"], ["plan", "all"]],
+                             ids=["exhibit", "plan"])
+    def test_sizes_below_one_exit_2(self, command, value, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, flag, value, "--classes", "MEM2"])
+        assert info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_make_spec_overrides(self):
         args = build_parser().parse_args(["table1", "--trace-len", "123"])
         spec = make_spec(args)

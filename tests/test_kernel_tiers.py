@@ -69,23 +69,15 @@ def test_cli_kernel_flag_sets_env(monkeypatch):
     assert KERNEL_ENV_VAR not in os.environ
 
 
-def test_bench_cli_takes_kernel_flag():
-    from repro.cli import build_bench_parser
-    args = build_bench_parser().parse_args(["--quick", "--kernel",
-                                            "python"])
-    assert args.kernel == "python"
-
-
 # --- selection --------------------------------------------------------------
 
 
 def test_registered_tiers():
-    """The knob and both CLI parsers accept the same two tiers."""
-    from repro.cli import build_bench_parser, build_parser
+    """The knob and the CLI's --kernel flag accept the same two tiers."""
+    from repro.cli import build_parser
     assert KERNEL_MODES == ("auto", "python")
-    for parser in (build_parser(), build_bench_parser()):
-        (action,) = [a for a in parser._actions if a.dest == "kernel"]
-        assert tuple(action.choices) == KERNEL_MODES
+    (action,) = [a for a in build_parser()._actions if a.dest == "kernel"]
+    assert tuple(action.choices) == KERNEL_MODES
 
 
 def test_python_mode_forces_portable_loop(monkeypatch):

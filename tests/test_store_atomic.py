@@ -4,7 +4,8 @@ Satellite of ISSUE 5: N sharded executors share one ``--cache-dir``, so
 the invariant is that a reader observes a complete entry or no entry —
 never partial JSON.  Writes go to a same-directory temp file and land
 via ``os.replace``; these tests pin the crash-mid-write behaviour for
-the result store, the exhibit-render cache and the bench report writer.
+the result store, the exhibit-render cache and the pretty-printed
+documents written with ``indent=2, trailing_newline=True``.
 """
 
 import json
@@ -55,6 +56,27 @@ class TestAtomicWriteJson:
             atomic_write_json(path, {"v": 1})
         monkeypatch.undo()
         assert tree(tmp_path) == []  # neither doc nor temp survives
+
+    def test_failed_overwrite_keeps_old_document(self, tmp_path,
+                                                 monkeypatch):
+        path = str(tmp_path / "doc.json")
+        atomic_write_json(path, {"v": 1}, indent=2, trailing_newline=True)
+        with open(path) as handle:
+            old = handle.read()
+        assert old.endswith("}\n")
+
+        def exploding_replace(_src, _dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", exploding_replace)
+        with pytest.raises(OSError):
+            atomic_write_json(path, {"v": 2}, indent=2,
+                              trailing_newline=True)
+        monkeypatch.undo()
+        # The old, complete document survives the failed overwrite.
+        with open(path) as handle:
+            assert handle.read() == old
+        assert tree(tmp_path) == [path]
 
     def test_crash_mid_serialization_leaves_no_file(self, tmp_path):
         path = str(tmp_path / "doc.json")
@@ -152,24 +174,3 @@ class TestExhibitRenderCacheAtomicity:
             handle.write('{"result": {"trunc')
         assert cache.get("c" * 64) is None
         assert cache.misses == 1
-
-
-class TestBenchReportAtomicity:
-    def test_write_report_is_atomic(self, tmp_path, monkeypatch):
-        from repro import bench
-        path = str(tmp_path / "BENCH_x.json")
-        report = {"schema": bench.BENCH_SCHEMA, "revision": "x",
-                  "cells": {}}
-        bench.write_report(report, path)
-        assert bench.load_report(path)["revision"] == "x"
-
-        def exploding_replace(_src, _dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        with pytest.raises(OSError):
-            bench.write_report({**report, "revision": "y"}, path)
-        monkeypatch.undo()
-        # The old, complete report survives the failed overwrite.
-        assert bench.load_report(path)["revision"] == "x"
-        assert tree(tmp_path) == [path]

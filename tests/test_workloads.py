@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import UnknownWorkloadError
+from repro.errors import ConfigError, UnknownWorkloadError
 from repro.trace.profiles import get_profile
 from repro.trace.workloads import (
     WORKLOAD_CLASSES,
@@ -84,3 +84,11 @@ def test_workload_name_and_str():
     workload = Workload("MEM2", ("art", "mcf"))
     assert workload.name == "art,mcf"
     assert "MEM2" in str(workload)
+
+
+@pytest.mark.parametrize("limit", [-1, 0])
+def test_limit_below_one_raises(limit):
+    # A slice would silently drop rows from the end (-1) or leave an
+    # empty class that fails later in aggregation (0).
+    with pytest.raises(ConfigError):
+        get_workloads("MEM2", limit)
