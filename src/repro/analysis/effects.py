@@ -44,7 +44,7 @@ MUTATOR_FUNCTIONS = frozenset({
 BENIGN_MUTATIONS: Dict[str, Tuple[str, ...]] = {
     # Lazy prune of heap keys whose event bucket already drained
     # (core/pipeline.py _next_event_cycle docstring).
-    "SMTPipeline._next_event_cycle": ("heappop",),
+    "SMTPipeline._next_event_cycle": ("heap_pop",),
     # Lazy prune of release-heap pairs whose entry was dropped or
     # re-allocated (mem/mshr.py next_release_cycle docstring).
     "MSHRFile.next_release_cycle": ("heapq.heappop",),

@@ -44,12 +44,9 @@ HOT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("core/pipeline.py", "SMTPipeline._commit_thread"),
     ("core/pipeline.py", "SMTPipeline._issue_stage"),
     ("core/pipeline.py", "SMTPipeline._dispatch_stage"),
-    ("core/pipeline.py", "SMTPipeline._dispatch"),
     ("core/pipeline.py", "SMTPipeline._fetch_stage"),
-    ("core/pipeline.py", "SMTPipeline._fetch_thread"),
     ("core/pipeline.py", "SMTPipeline._skip_target"),
     ("core/issue_queue.py", "IssueQueue.has_ready"),
-    ("core/issue_queue.py", "IssueQueue.take_ready"),
     ("core/issue_queue.py", "IssueQueue.next_ready_cycle"),
     ("mem/cache.py", "Cache.lookup"),
     ("mem/hierarchy.py", "MemoryHierarchy.data_access_packed"),

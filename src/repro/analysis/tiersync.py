@@ -3,11 +3,13 @@
 The specialized kernel tier is *derived* from the python tier: for each
 machine shape, :mod:`repro.core.kernel_gen` applies its declared
 ``FRAGMENTS`` operations (:mod:`repro.core.astrewrite`) to the stage
-bodies of ``core/pipeline.py`` and compiles the result.  An edit to a
-hot path therefore reaches the kernel by construction, unless a
-declared operation stops applying: a concrete ``stmt`` rewrite whose
-pattern the edit touched, or a ``guard`` whose helper drifted.  At run
-time that raises :class:`~repro.core.astrewrite.SubstitutionError`.
+bodies of ``core/pipeline.py``, respells them through the template's
+hoists and the constant-fold table, and compiles the result.  An edit
+to a hot path therefore reaches the kernel by construction, unless it
+breaks the derivation: an inlined call site the edit changed, a stage
+binding that restates no kernel hoist, or a fold no stage reads any
+more.  At run time that raises
+:class:`~repro.core.astrewrite.SubstitutionError`.
 
 This rule finds the same breakage statically, in the linted tree: it
 derives one kernel per coverage class (:func:`generated_kernels`) from
@@ -23,7 +25,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.astrewrite import SubstitutionError, find_function
-from ..core.kernel_gen import FRAGMENTS, TIERSYNC_KEY, KernelDeriver
+from ..core.kernel_gen import (FRAGMENTS, TIERSYNC_KEY, KernelDeriver,
+                               fragment_functions)
 from .model import Finding, LintContext
 from .registry import Rule, rule
 
@@ -83,7 +86,7 @@ class TierSyncRule(Rule):
         lines_covered = 0
         functions = set()
         for frag in FRAGMENTS:
-            for relpath, qualname in frag["covers"]:
+            for relpath, qualname in fragment_functions(frag):
                 node = self._function(ctx, relpath, qualname)
                 if node is None or (relpath, qualname) in functions:
                     continue

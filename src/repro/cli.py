@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -86,6 +87,14 @@ def _positive(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
     return number
+
+
+def _age_days(value: str) -> float:
+    days = float(value)
+    if not (math.isfinite(days) and days >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of days >= 0, got {value}")
+    return days
 
 
 def _shard(value: str) -> ShardSpec:
@@ -355,7 +364,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stale-salts", action="store_true",
                         help="prune: drop entries from other code-version "
                              "salts (incl. corrupt payloads)")
-    parser.add_argument("--older-than-days", type=float, default=None,
+    parser.add_argument("--older-than-days", type=_age_days, default=None,
                         metavar="DAYS",
                         help="prune: drop entries older than DAYS")
     parser.add_argument("--dry-run", action="store_true",

@@ -2,41 +2,37 @@
 
 :mod:`repro.core.kernel_gen` builds each specialized run loop by
 taking the stage bodies of :class:`~repro.core.pipeline.SMTPipeline`
-as ASTs and applying a declared list of operations to them.  This
-module is that engine: structural matching with metavariables,
-substitution, helper inlining with return-flow handling, loop
-unrolling, guards, and the normalizer that folds the constant branches
-the key literals leave behind.
+as ASTs and applying a declared list of operations to them.  The stage
+bodies are written in the kernel's shape, so the operations only
+splice and respell: nothing here restructures control flow beyond a
+helper's ``return`` statements.  This module is that engine: helper
+inlining with return-flow handling, loop unrolling, tree-equal
+expression rewriting, and the normalizer that folds the constant
+branches the key literals leave behind.
 
 Operations (applied in declared order by :func:`apply_ops`):
 
-``("rename", old, new)``
-    Rename every ``Name`` occurrence.
-``("expr", old, new)``
-    Structural expression rewrite; ``__X__`` metavariables match any
-    expression and bind by structure.
-``("stmt", pattern, replacement)``
-    Consecutive-statement rewrite; ``__REST__``/``__BODY__`` bind
-    statement runs.  An empty replacement deletes (hoist elision).
-``("inline", (relpath, qualname), pattern, template, opts)``
-    Replace the matched call site with ``template``, whose
-    ``__INLINE__`` marker becomes the helper's current body with
-    ``opts["bind"]`` parameter bindings applied and each ``return``
-    handled by the positional ``opts["returns"]`` spec (``"break"``,
-    ``"continue"``, ``"delete"``, ``"else-rest"``, or
-    ``"stmts:<code>"`` with ``__RET__`` bound to the returned value).
+``("inline", (relpath, qualname), call, opts)``
+    Replace the statement ``call`` (matched as a tree: an expression
+    statement, an assignment of the call, or an ``if`` testing it) with
+    the helper's current body.  ``opts["bind"]`` maps a parameter to
+    the argument name it takes, or to ``(local, expr)`` for an argument
+    that is bound to a local first; each ``return`` is handled by the
+    positional ``opts["returns"]`` spec (``"continue"``, ``"delete"``,
+    ``"else-rest"``: the rest of the block becomes the ``else`` branch,
+    or ``"stmts:<code>"``).
 ``("unroll", var, iterations)``
     Unroll the ``for <var> in ...`` loop; each iteration dict maps
     names to replacement expressions for that copy.
-``("guard", relpath, qualname, expected)``
-    Pin a helper's normalized body text: the license for a concrete
-    ``stmt`` rewrite that absorbed the helper.
+``("expr", old, new)``
+    Replace every read of the expression ``old`` with ``new``.
+``("drop", stmt)``
+    Delete every occurrence of the statement ``stmt``.
 
-Every operation must apply at least once; one that matches nothing
-(a stale pattern) and a guard whose helper drifted both raise
-:class:`SubstitutionError`.  There is no silent path through: an edit
-to the python tier either flows into the derived kernel or stops the
-derivation.
+Every operation must apply at least once; one that matches nothing (a
+stale call site or pattern) raises :class:`SubstitutionError`.  There
+is no silent path through: an edit to the python tier either flows into
+the derived kernel or stops the derivation.
 
 Sources come from a ``source_of(relpath) -> ast.Module | None``
 callable, so the same engine derives from the installed package at
@@ -46,7 +42,6 @@ run time and from a linted tree under ``repro lint``.
 from __future__ import annotations
 
 import ast
-import re
 import textwrap
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -100,22 +95,6 @@ def clone(node):
     return new
 
 
-_METAVAR = re.compile(r"^__[A-Z][A-Z0-9_]*__$")
-_WILDCARD_PREFIXES = ("__REST", "__BODY", "__STMTS")
-
-
-def _is_metavar(name: str) -> bool:
-    return bool(_METAVAR.match(name)) \
-        and not name.startswith(_WILDCARD_PREFIXES)
-
-
-def _stmt_wildcard(stmt: ast.stmt) -> Optional[str]:
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Name) \
-            and stmt.value.id.startswith(_WILDCARD_PREFIXES):
-        return stmt.value.id
-    return None
-
-
 def dump(node) -> str:
     if isinstance(node, list):
         return "; ".join(dump(item) for item in node)
@@ -143,168 +122,63 @@ def find_function(tree: ast.Module, qualname: str):
     return None
 
 
-# ----------------------------------------------------------------- matching
+def function_body(source_of: SourceOf, relpath: str,
+                  qualname: str) -> List[ast.stmt]:
+    """A fresh copy of a function's body, docstring stripped.
 
-_SKIP_FIELDS = ("ctx", "type_comment", "type_ignores")
+    Its prologue, the leading statements that bind a local to a
+    ``self`` attribute chain, is marked: each such statement carries
+    ``prologue = relpath`` for the caller to check.
+    """
+    tree = source_of(relpath)
+    if tree is None:
+        raise SubstitutionError(f"source module {relpath!r} not found")
+    node = find_function(tree, qualname)
+    if node is None:
+        raise SubstitutionError(
+            f"function {qualname!r} not found in {relpath}", path=relpath,
+            line=1)
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    body = clone(body)
+    for stmt in body:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and _chain_root(stmt.value) == "self"):
+            break
+        stmt.prologue = relpath
+    return body
+
+
+def _chain_root(node: ast.expr) -> Optional[str]:
+    """The root name of an attribute/subscript chain, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+# ------------------------------------------------------------- rewriting
+
 _STMT_LIST_FIELDS = ("body", "orelse", "finalbody")
 
 
-def _match(pattern, node, bindings: Dict) -> bool:
-    if isinstance(pattern, ast.Name) and _is_metavar(pattern.id):
-        if not isinstance(node, ast.AST):
-            return False
-        seen = bindings.get(pattern.id)
-        if seen is not None:
-            return dump(seen) == dump(node)
-        bindings[pattern.id] = node
-        return True
-    if type(pattern) is not type(node):
-        return False
-    if isinstance(pattern, ast.Constant):
-        return pattern.value == node.value \
-            and type(pattern.value) is type(node.value)
-    for field in pattern._fields:
-        if field in _SKIP_FIELDS:
-            continue
-        pv = getattr(pattern, field, None)
-        nv = getattr(node, field, None)
-        if isinstance(pv, list):
-            if not isinstance(nv, list):
-                return False
-            if field in _STMT_LIST_FIELDS and \
-                    (not pv or isinstance(pv[0], ast.stmt)):
-                if not _match_seq(pv, nv, bindings):
-                    return False
-            else:
-                if len(pv) != len(nv):
-                    return False
-                for p, n in zip(pv, nv):
-                    if isinstance(p, ast.AST):
-                        if not _match(p, n, bindings):
-                            return False
-                    elif p != n:
-                        return False
-        elif isinstance(pv, ast.AST):
-            if not isinstance(nv, ast.AST) or not _match(pv, nv, bindings):
-                return False
-        elif pv != nv:
-            return False
-    return True
-
-
-def _match_seq(patterns: Sequence[ast.stmt], stmts: Sequence[ast.stmt],
-               bindings: Dict) -> bool:
-    consumed = _match_seq_prefix(patterns, stmts, bindings)
-    return consumed is not None and consumed == len(stmts)
-
-
-def _match_seq_prefix(patterns: Sequence[ast.stmt],
-                      stmts: Sequence[ast.stmt],
-                      bindings: Dict) -> Optional[int]:
-    """Match ``patterns`` against a prefix of ``stmts``; consumed count."""
-    if not patterns:
-        return 0
-    head = patterns[0]
-    wildcard = _stmt_wildcard(head)
-    if wildcard is not None:
-        prior = bindings.get(wildcard)
-        if prior is not None:
-            n = len(prior)
-            if len(stmts) >= n and dump(list(stmts[:n])) == dump(prior):
-                rest = _match_seq_prefix(patterns[1:], stmts[n:], bindings)
-                if rest is not None:
-                    return n + rest
-            return None
-        for n in range(len(stmts), -1, -1):     # greedy first
-            trial = dict(bindings)
-            trial[wildcard] = list(stmts[:n])
-            rest = _match_seq_prefix(patterns[1:], stmts[n:], trial)
-            if rest is not None:
-                bindings.clear()
-                bindings.update(trial)
-                return n + rest
-        return None
-    if not stmts or type(head) is not type(stmts[0]):
-        return None
-    trial = dict(bindings)
-    if _match(head, stmts[0], trial):
-        rest = _match_seq_prefix(patterns[1:], stmts[1:], trial)
-        if rest is not None:
-            bindings.clear()
-            bindings.update(trial)
-            return 1 + rest
-    return None
-
-
-# ------------------------------------------------------------- substitution
-
-def _substitute(node, bindings: Dict, moved: set):
-    """Copy of ``node`` with metavariables replaced from ``bindings``.
-
-    A bound node is spliced in as is the first time (its match is being
-    replaced, so nothing else refers to it) and copied after that;
-    ``moved`` records which bindings were spent.
-    """
-    if isinstance(node, ast.Name) and node.id in bindings:
-        replacement = bindings[node.id]
-        if isinstance(replacement, list):
-            raise SubstitutionError(
-                f"statement wildcard {node.id!r} used in expression position")
-        return _spend(node.id, replacement, moved)
-    fields = {}
-    for field, value in ast.iter_fields(node):
-        if isinstance(value, list):
-            if field in _STMT_LIST_FIELDS and \
-                    (not value or isinstance(value[0], ast.stmt)):
-                fields[field] = _substitute_stmts(value, bindings, moved)
-            else:
-                fields[field] = [
-                    _substitute(item, bindings, moved)
-                    if isinstance(item, ast.AST) else item
-                    for item in value]
-        elif isinstance(value, ast.AST):
-            fields[field] = _substitute(value, bindings, moved)
-        else:
-            fields[field] = value
-    new = type(node)(**fields)
-    if isinstance(node, ast.stmt):
-        new.lineno = node.lineno        # ast.unparse reads it
-    return new
-
-
-def _spend(name: str, bound, moved: set):
-    if name in moved:
-        return clone(bound)
-    moved.add(name)
-    return bound
-
-
-def _substitute_stmts(stmts: Sequence[ast.stmt], bindings: Dict,
-                      moved: set) -> List[ast.stmt]:
-    out: List[ast.stmt] = []
-    for stmt in stmts:
-        wildcard = _stmt_wildcard(stmt)
-        if wildcard is not None and wildcard in bindings:
-            out.extend(_spend(wildcard, bindings[wildcard], moved))
-        else:
-            out.append(_substitute(stmt, bindings, moved))
-    return out
-
-
-def _walk_stmt_lists(stmts: List[ast.stmt], fn) -> None:
+def walk_stmt_lists(stmts: List[ast.stmt], fn) -> None:
     """Call ``fn`` on every statement list reachable from ``stmts``."""
     fn(stmts)
     for stmt in stmts:
         for field in _STMT_LIST_FIELDS:
             sub = getattr(stmt, field, None)
             if sub:
-                _walk_stmt_lists(sub, fn)
+                walk_stmt_lists(sub, fn)
         for handler in getattr(stmt, "handlers", None) or []:
-            _walk_stmt_lists(handler.body, fn)
+            walk_stmt_lists(handler.body, fn)
 
 
 def _head(node: ast.AST) -> Tuple:
-    """What a node must carry to match a pattern with the same head:
+    """What a node must carry to equal a pattern with the same head:
     its type and, for names and attributes, the identifier."""
     cls = type(node)
     if cls is ast.Name:
@@ -314,42 +188,37 @@ def _head(node: ast.AST) -> Tuple:
     return cls, None
 
 
-def _has_metavar(node: ast.AST) -> bool:
-    return any(isinstance(sub, ast.Name) and _is_metavar(sub.id)
-               for sub in ast.walk(node))
+def rewrite(stmts: List[ast.stmt],
+            table: Sequence[Tuple[ast.expr, ast.expr]],
+            stores: bool = False) -> List[int]:
+    """Replace every expression equal (as a tree) to a pattern in
+    ``table`` with a copy of its replacement; per-entry counts.
 
-
-def _subtrees(node: ast.AST) -> set:
-    return {dump(sub) for sub in ast.walk(node) if isinstance(sub, ast.expr)}
-
-
-def apply_expr_rewrites(stmts: List[ast.stmt],
-                        rewrites: Sequence[Tuple[ast.expr, ast.expr]]
-                        ) -> List[int]:
-    """Apply expression rewrites in one top-down walk; per-rewrite counts.
-
-    At each node the first rewrite (in declared order) that matches
-    replaces it, and a replacement is not walked again.  For a batch
-    that :func:`_rewrite_batches` formed this equals applying the
-    rewrites one after another.
+    One top-down walk: the first entry that matches a node replaces it,
+    and a replacement is not walked again.  Write targets are left
+    alone unless ``stores`` (renaming a name in every context).
     """
-    counts = [0] * len(rewrites)
-    by_head: Dict[Tuple, List[int]] = {}
-    anywhere: List[int] = []
-    for index, (pattern, _replacement) in enumerate(rewrites):
-        if isinstance(pattern, ast.Name) and _is_metavar(pattern.id):
-            anywhere.append(index)
-        else:
-            by_head.setdefault(_head(pattern), []).append(index)
+    counts = [0] * len(table)
+    by_head: Dict[Tuple, List[Tuple[Optional[str], int]]] = {}
+    for index, (pattern, _replacement) in enumerate(table):
+        # A name is equal to a name pattern by its head alone, in any
+        # context; other patterns are compared as whole (read) trees.
+        text = None if isinstance(pattern, ast.Name) else dump(pattern)
+        by_head.setdefault(_head(pattern), []).append((text, index))
 
-    def rewrite(value):
-        for index in anywhere or by_head.get(_head(value), ()):
-            pattern, replacement = rewrites[index]
-            bindings: Dict = {}
-            if _match(pattern, value, bindings):
-                new = _substitute(replacement, bindings, set())
-                if hasattr(value, "ctx") and hasattr(new, "ctx"):
-                    new.ctx = value.ctx
+    def replaced(value: ast.expr):
+        candidates = by_head.get(_head(value))
+        if not candidates:
+            return None
+        ctx = getattr(value, "ctx", None)
+        if ctx is not None and not isinstance(ctx, ast.Load) and not stores:
+            return None
+        text = None if isinstance(value, ast.Name) else dump(value)
+        for pattern_text, index in candidates:
+            if pattern_text == text:
+                new = clone(table[index][1])
+                if ctx is not None and hasattr(new, "ctx"):
+                    new.ctx = ctx
                 counts[index] += 1
                 return new
         return None
@@ -359,7 +228,7 @@ def apply_expr_rewrites(stmts: List[ast.stmt],
             value = getattr(node, field, None)
             if isinstance(value, ast.AST):
                 if isinstance(value, ast.expr):
-                    new = rewrite(value)
+                    new = replaced(value)
                     if new is not None:
                         setattr(node, field, new)
                         continue
@@ -369,7 +238,7 @@ def apply_expr_rewrites(stmts: List[ast.stmt],
                     if not isinstance(item, ast.AST):
                         continue
                     if isinstance(item, ast.expr):
-                        new = rewrite(item)
+                        new = replaced(item)
                         if new is not None:
                             value[index] = new
                             continue
@@ -380,81 +249,40 @@ def apply_expr_rewrites(stmts: List[ast.stmt],
     return counts
 
 
-def _rewrite_batches(rewrites: Sequence[Tuple[ast.expr, ast.expr]]
-                     ) -> List[List[int]]:
-    """Split a run of rewrites into batches one walk may apply at once.
-
-    A metavariable-free rewrite joins the current batch unless an
-    earlier member could interact with it: the earlier pattern occurs
-    inside its pattern (sequential order would rewrite the inside
-    first), or the earlier replacement occurs inside its pattern or its
-    pattern inside the earlier replacement (sequential order would let
-    it match what the earlier one produced).
-    """
-    batches: List[List[int]] = []
-    facts = []
-    for index, (pattern, replacement) in enumerate(rewrites):
-        if _has_metavar(pattern):
-            batches.append([index])
-            facts = None
-            continue
-        pattern_dump = dump(pattern)
-        inside = _subtrees(pattern)
-        mine = (pattern_dump, dump(replacement), _subtrees(replacement))
-        if facts is not None and batches and all(
-                earlier_pattern not in inside
-                and earlier_replacement not in inside
-                and pattern_dump not in earlier_inside
-                for earlier_pattern, earlier_replacement, earlier_inside
-                in facts):
-            batches[-1].append(index)
-            facts.append(mine)
-        else:
-            batches.append([index])
-            facts = [mine]
-    return batches
+def _renames(names: Dict[str, str]) -> List[Tuple[ast.expr, ast.expr]]:
+    return [(ast.Name(id=name, ctx=ast.Load()), parse_expr(code))
+            for name, code in names.items()]
 
 
-def _rewrite_all(stmts: List[ast.stmt],
-                 rewrites: Sequence[Tuple[ast.expr, ast.expr]]) -> List[int]:
-    counts = [0] * len(rewrites)
-    for batch in _rewrite_batches(rewrites):
-        found = apply_expr_rewrites(stmts, [rewrites[i] for i in batch])
-        for index, count in zip(batch, found):
-            counts[index] = count
-    return counts
+def _matcher(pattern: ast.stmt):
+    """A test for statements equal (as trees) to ``pattern``, cheap on
+    the many that are not: the type first, then a compound statement's
+    header, and only then the whole tree."""
+    cls = type(pattern)
+    text = dump(pattern)
+    test = getattr(pattern, "test", None)
+    test_text = dump(test) if test is not None else None
+
+    def equal(stmt: ast.stmt) -> bool:
+        return type(stmt) is cls \
+            and (test_text is None or dump(stmt.test) == test_text) \
+            and dump(stmt) == text
+
+    return equal
 
 
-def apply_rename(stmts: List[ast.stmt], old: str, new: str) -> int:
-    return apply_expr_rewrite(stmts, ast.Name(id=old, ctx=ast.Load()),
-                              ast.Name(id=new, ctx=ast.Load()))
-
-
-def apply_expr_rewrite(stmts: List[ast.stmt], pattern: ast.expr,
-                       replacement: ast.expr) -> int:
-    return apply_expr_rewrites(stmts, [(pattern, replacement)])[0]
-
-
-def apply_stmt_rewrite(stmts: List[ast.stmt],
-                       pattern: Sequence[ast.stmt],
-                       replacement: Sequence[ast.stmt]) -> int:
+def drop(stmts: List[ast.stmt], pattern: ast.stmt) -> int:
+    """Delete every statement equal (as a tree) to ``pattern``."""
+    equal = _matcher(pattern)
     count = 0
 
     def scan(block: List[ast.stmt]) -> None:
         nonlocal count
-        index = 0
-        while index < len(block):
-            bindings: Dict = {}
-            consumed = _match_seq_prefix(pattern, block[index:], bindings)
-            if consumed is not None and consumed > 0:
-                new = _substitute_stmts(replacement, bindings, set())
-                block[index:index + consumed] = new
-                count += 1
-                index += len(new)
-            else:
-                index += 1
+        kept = [stmt for stmt in block if not equal(stmt)]
+        count += len(block) - len(kept)
+        block[:] = kept
 
-    _walk_stmt_lists(stmts, scan)
+    walk_stmt_lists(stmts, scan)
     return count
 
 
@@ -474,17 +302,13 @@ def _collect_returns(stmts: Sequence[ast.stmt],
             _collect_returns(handler.body, out)
 
 
-def _return_stmts(spec: str, value: Optional[ast.expr]) -> List[ast.stmt]:
-    if spec == "break":
-        return [ast.Break()]
+def _return_stmts(spec: str) -> List[ast.stmt]:
     if spec == "continue":
         return [ast.Continue()]
     if spec == "delete":
         return []
     if spec.startswith("stmts:"):
-        bindings = {"__RET__": value} if value is not None else {}
-        return _substitute_stmts(parse_stmts(spec[len("stmts:"):]),
-                                 bindings, set())
+        return parse_stmts(spec[len("stmts:"):])
     raise SubstitutionError(f"unknown return spec {spec!r}")
 
 
@@ -495,11 +319,7 @@ def _apply_return_specs(stmts: List[ast.stmt],
     while index < len(stmts):
         stmt = stmts[index]
         if isinstance(stmt, ast.Return):
-            spec = specs.get(stmt)
-            if spec is None:
-                raise SubstitutionError(
-                    "inline return without a declared spec")
-            out.extend(_return_stmts(spec, stmt.value))
+            out.extend(_return_stmts(specs[stmt]))
             index += 1
             continue
         tail = None
@@ -527,95 +347,51 @@ def _apply_return_specs(stmts: List[ast.stmt],
     return out
 
 
-def function_body(source_of: SourceOf, relpath: str,
-                  qualname: str) -> List[ast.stmt]:
-    """A fresh copy of a function's body, docstring stripped."""
-    return clone(_body(source_of, relpath, qualname))
-
-
-def _body(source_of: SourceOf, relpath: str,
-          qualname: str) -> List[ast.stmt]:
-    """A function's body as it stands in the tree, docstring stripped."""
-    tree = source_of(relpath)
-    if tree is None:
-        raise SubstitutionError(f"source module {relpath!r} not found")
-    node = find_function(tree, qualname)
-    if node is None:
-        raise SubstitutionError(
-            f"function {qualname!r} not found in {relpath}", path=relpath,
-            line=1)
-    body = node.body
-    if body and isinstance(body[0], ast.Expr) \
-            and isinstance(body[0].value, ast.Constant) \
-            and isinstance(body[0].value.value, str):
-        body = body[1:]
-    return body
-
-
 def apply_inline(source_of: SourceOf, stmts: List[ast.stmt],
-                 target: Tuple[str, str], pattern_code: str,
-                 template_code: str, opts: Dict) -> int:
+                 target: Tuple[str, str], call: str, opts: Dict) -> int:
     relpath, qualname = target
     body = function_body(source_of, relpath, qualname)
 
     prelude: List[ast.stmt] = []
+    names: Dict[str, str] = {}
     for param, spec in (opts.get("bind") or {}).items():
         if isinstance(spec, tuple):
             local, expr_code = spec
             prelude.append(ast.parse(f"{local} = {expr_code}").body[0])
-            if local != param:
-                apply_rename(body, param, local)
-        elif spec != param:
-            apply_expr_rewrite(body, ast.Name(id=param, ctx=ast.Load()),
-                               parse_expr(spec))
+            spec = local
+        if spec != param:
+            names[param] = spec
+    rewrite(body, _renames(names), stores=True)
 
     returns: List[ast.Return] = []
     _collect_returns(body, returns)
     specs = list(opts.get("returns") or ())
     if len(returns) != len(specs):
+        node = find_function(source_of(relpath), qualname)
         raise SubstitutionError(
             f"inline of {qualname!r}: helper has {len(returns)} return "
             f"statements but {len(specs)} specs are declared — the helper "
-            "body changed; update the fragment declaration")
+            "body changed; update the fragment declaration",
+            path=relpath, line=node.lineno)
     body = prelude + _apply_return_specs(body, dict(zip(returns, specs)))
 
-    pattern = parse_stmts(pattern_code)
-    template = parse_stmts(template_code)
+    (site,) = parse_stmts(call)
+    equal = _matcher(site)
     count = 0
-
-    def expand(seq: List[ast.stmt], spliced: List[ast.stmt],
-               moved: set) -> List[ast.stmt]:
-        result: List[ast.stmt] = []
-        for stmt in seq:
-            if isinstance(stmt, ast.Expr) \
-                    and isinstance(stmt.value, ast.Name) \
-                    and stmt.value.id == "__INLINE__":
-                result.extend(_spend("__INLINE__", spliced, moved))
-                continue
-            for field in _STMT_LIST_FIELDS:
-                sub = getattr(stmt, field, None)
-                if sub:
-                    setattr(stmt, field, expand(sub, spliced, moved))
-            result.append(stmt)
-        return result
 
     def scan(block: List[ast.stmt]) -> None:
         nonlocal count
         index = 0
         while index < len(block):
-            bindings: Dict = {}
-            consumed = _match_seq_prefix(pattern, block[index:], bindings)
-            if consumed is not None and consumed > 0:
-                moved: set = set()
-                new = expand(_substitute_stmts(template, bindings, moved),
-                             body if count == 0 else clone(body), moved)
-                block[index:index + consumed] = new
+            if equal(block[index]):
+                spliced = body if count == 0 else clone(body)
+                block[index:index + 1] = spliced
                 count += 1
-                index += len(new)
+                index += len(spliced)
             else:
                 index += 1
 
-    _walk_stmt_lists(stmts, scan)
+    walk_stmt_lists(stmts, scan)
     return count
 
 
@@ -630,19 +406,16 @@ def apply_unroll(stmts: List[ast.stmt], var: str,
                     and isinstance(stmt.target, ast.Name) \
                     and stmt.target.id == var:
                 copies: List[ast.stmt] = []
-                for number, subs in enumerate(iterations, 1):
+                for number, names in enumerate(iterations, 1):
                     body = (stmt.body if number == len(iterations)
                             else clone(stmt.body))
-                    _rewrite_all(body, [
-                        (ast.Name(id=name, ctx=ast.Load()),
-                         parse_expr(expr_code))
-                        for name, expr_code in subs.items()])
+                    rewrite(body, _renames(names), stores=True)
                     copies.extend(body)
                 block[index:index + 1] = copies
                 count += 1
                 return
 
-    _walk_stmt_lists(stmts, scan)
+    walk_stmt_lists(stmts, scan)
     return count
 
 
@@ -726,35 +499,17 @@ def unparse(stmts: Sequence[ast.stmt]) -> str:
 
 # ------------------------------------------------------------------ driver
 
-def check_guard(source_of: SourceOf, relpath: str, qualname: str,
-                expected: str) -> None:
-    """Raise unless the helper's body (docstring aside) parses to the
-    same tree as ``expected`` (compared as trees, so the check does not
-    depend on how a Python version spells its ``ast.unparse`` output)."""
-    body = _body(source_of, relpath, qualname)
-    if dump(body) != dump(parse_stmts(expected)):
-        node = find_function(source_of(relpath), qualname)
-        raise SubstitutionError(
-            f"guarded helper {qualname} drifted from the body a concrete "
-            "rewrite transcribes; restate the rewrite and its guard for "
-            f"the new body:\n{unparse(body).strip()}",
-            path=relpath, line=node.lineno)
-
-
 def _op_summary(op: Tuple) -> str:
     kind = op[0]
-    if kind in ("rename", "expr"):
-        return f"{kind} {op[1]!r} -> {op[2]!r}"
-    if kind == "stmt":
-        snippet = textwrap.dedent(op[1]).strip().splitlines()
-        head = snippet[0] if snippet else ""
-        return f"{kind} rewrite starting {head!r}"
+    if kind == "expr":
+        return f"expr {op[1]!r} -> {op[2]!r}"
+    if kind == "drop":
+        head = textwrap.dedent(op[1]).strip().splitlines()[0]
+        return f"drop of the statement starting {head!r}"
     if kind == "inline":
-        return f"inline {op[1][1]}"
+        return f"inline of {op[1][1]} at {op[2].splitlines()[0]!r}"
     if kind == "unroll":
         return f"unroll over {op[1]!r}"
-    if kind == "guard":
-        return f"guard on {op[2]}"
     return kind
 
 
@@ -765,29 +520,25 @@ def apply_ops(source_of: SourceOf, ops: Sequence[Tuple],
     while index < len(ops):
         op = ops[index]
         kind = op[0]
-        if kind in ("rename", "expr"):
-            # A run of renames and expression rewrites shares walks.
+        if kind == "expr":
+            # A run of expression rewrites shares one walk.
             end = index
-            while end < len(ops) and ops[end][0] in ("rename", "expr"):
+            while end < len(ops) and ops[end][0] == "expr":
                 end += 1
-            run = [(parse_expr(op[1]), parse_expr(op[2]))
-                   for op in ops[index:end]]
-            for offset, count in enumerate(_rewrite_all(stmts, run)):
+            counts = rewrite(stmts, [(parse_expr(old), parse_expr(new))
+                                     for _kind, old, new in ops[index:end]])
+            for offset, count in enumerate(counts):
                 if count == 0:
                     _stale(index + offset, ops[index + offset])
             index = end
             continue
-        count = 1
-        if kind == "stmt":
-            count = apply_stmt_rewrite(stmts, parse_stmts(op[1]),
-                                       parse_stmts(op[2]))
+        if kind == "drop":
+            (pattern,) = parse_stmts(op[1])
+            count = drop(stmts, pattern)
         elif kind == "inline":
-            count = apply_inline(source_of, stmts, op[1], op[2], op[3],
-                                 op[4] if len(op) > 4 else {})
+            count = apply_inline(source_of, stmts, op[1], op[2], op[3])
         elif kind == "unroll":
             count = apply_unroll(stmts, op[1], op[2])
-        elif kind == "guard":
-            check_guard(source_of, op[1], op[2], op[3])
         else:
             raise SubstitutionError(f"unknown substitution kind {kind!r}")
         if count == 0:

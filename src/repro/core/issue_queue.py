@@ -23,7 +23,6 @@ time (``_replay_blocked``), not by scanning the ready list.
 
 from __future__ import annotations
 
-import operator
 from typing import List, Optional
 
 from ..errors import SimulationError
@@ -85,43 +84,6 @@ class IssueQueue:
     def mark_ready(self, inst: DynInst) -> None:
         """All operands available: eligible for selection."""
         self._ready.append(inst)
-
-    def take_ready(self, limit: int) -> List[DynInst]:
-        """Select up to ``limit`` ready instructions, oldest first.
-
-        Squashed and folded entries are purged in passing.  Instructions
-        not selected this cycle stay in the ready list.  Selected replay
-        loads shed their deferred status — the issue stage is about to
-        attempt them again, and re-defers via :meth:`requeue` on failure.
-        """
-        ready = self._ready
-        if not ready:
-            return []
-        # Clean scan first: the common case has no stale entries, and the
-        # scan avoids the filtering list allocation (this runs for every
-        # non-empty queue every stepped cycle).
-        for inst in ready:
-            if inst.state != _READY:
-                live = [inst for inst in ready if inst.state == _READY]
-                self._ready = live
-                break
-        else:
-            live = ready
-        if not live:
-            return []
-        if len(live) > limit:
-            live.sort(key=_inst_age)
-            selected = live[:limit]
-            self._ready = live[limit:]
-        else:
-            selected = live
-            self._ready = []
-        if self._replay_blocked:
-            for inst in selected:
-                if inst.replay:
-                    inst.replay = False
-                    self._replay_blocked -= 1
-        return selected
 
     def requeue(self, inst: DynInst, replay: bool = False) -> None:
         """Put an instruction back after a failed issue attempt.
@@ -189,7 +151,3 @@ class IssueQueue:
     def ready_count(self) -> int:
         return sum(1 for inst in self._ready
                    if inst.state == _READY)
-
-
-#: Global fetch order approximates true age across threads.
-_inst_age = operator.attrgetter("gseq")

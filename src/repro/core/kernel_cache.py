@@ -28,18 +28,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
-from ..isa import OP_FU_BY_CODE, OP_QUEUE_BY_CODE
 from .kernel_gen import (KernelKey, derive_kernel_source, kernel_namespace,
                          specialization_key)
-
-# The derived issue stage folds the FU-kind lookup OP_FU_BY_CODE[op]
-# to the issue-queue-kind literal; that is only sound while the two
-# code-indexed tables coincide.  Checked at import (an explicit raise,
-# so ``python -O`` keeps it) so an ISA change that splits them fails
-# loudly, not with silent FU misaccounting.
-if list(OP_QUEUE_BY_CODE) != list(OP_FU_BY_CODE):
-    raise ImportError(
-        "kernel specializer assumes queue kind == FU kind per op code")
 
 _KERNELS: Dict[KernelKey, object] = {}
 

@@ -13,7 +13,8 @@ sweeps.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import operator
+from heapq import heappop as heap_pop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from ..branch import BranchTargetBuffer, PerceptronPredictor
@@ -68,6 +69,19 @@ _NINT = NUM_INT_ARCH_REGS
 #: Cycles without a single commit before the deadlock guard trips.
 _DEADLOCK_WINDOW = 100_000
 
+#: Issue selection order: global fetch order approximates true age
+#: across threads.
+_inst_age = operator.attrgetter("gseq")
+
+# The issue stage charges each instruction to the FU pool with its
+# issue queue's index, which is only sound while the two code-indexed
+# tables coincide.  Checked at import (an explicit raise, so
+# ``python -O`` keeps it) so an ISA change that splits them fails
+# loudly, not with silent FU misaccounting.
+if list(OP_QUEUE_BY_CODE) != list(OP_FU_BY_CODE):
+    raise ImportError("the issue stage assumes queue kind == FU kind "
+                      "per op code")
+
 
 class SMTPipeline:
     """Cycle-level model of the Table 1 SMT processor."""
@@ -95,6 +109,8 @@ class SMTPipeline:
             IssueQueue("fp", config.fp_iq_size, self.num_threads),
             IssueQueue("ls", config.ls_iq_size, self.num_threads),
         )
+        #: Per-kind issue-queue capacities (the dispatch-stall test).
+        self._iq_caps = tuple(queue.capacity for queue in self.queues)
         self.fus = FUPool(config.int_units, config.fp_units,
                           config.ldst_units)
         self.mem = MemoryHierarchy(config, self.num_threads)
@@ -361,7 +377,7 @@ class SMTPipeline:
     def _dispatch_blocked(self, thread: ThreadContext) -> bool:
         """Would the thread's next dispatch fail for an event-stable reason?
 
-        Mirrors :meth:`_dispatch`'s failure paths.  Each blocking
+        Mirrors the failure paths of :meth:`_dispatch_stage`.  Each blocking
         resource (ROB entries, issue-queue entries, rename registers)
         can only be released by a completion event, a runahead exit, or
         a policy wakeup — all of which clamp the skip target — so a
@@ -446,60 +462,83 @@ class SMTPipeline:
             cycle = heap[0]
             if cycle in events:
                 return cycle
-            heappop(heap)
+            heap_pop(heap)
         return None
 
     def _process_events(self, now: int) -> None:
         events = self._events
+        heap = self._event_heap
+        threads = self.threads
+        int_file = self.int_file
+        fp_file = self.fp_file
         bucket = events.pop(now, None)
         # Prune heap keys for already-drained buckets as the cycle
         # counter passes them (amortized O(1) per cycle).  Without this,
         # busy runs — which never reach the quiescence-path pruning in
         # _next_event_cycle — would retain one stale key per event cycle
         # for the whole run.
-        heap = self._event_heap
         while heap and heap[0] <= now and heap[0] not in events:
-            heappop(heap)
-        if not bucket:
-            return
-        threads = self.threads
-        int_file = self.int_file
-        fp_file = self.fp_file
-        src_ready = self._src_ready
-        for kind, inst in bucket:
-            state = inst.state
-            if state == _SQUASHED or state == _RETIRED:
-                continue
-            if kind == _EV_COMPLETE:
-                if state == _ISSUED:
-                    # Inlined _complete (the per-completion hot path).
-                    inst.state = _COMPLETED
-                    thread = threads[inst.tid]
-                    if inst.l2_counted:
-                        inst.l2_counted = False
-                        thread.pending_l2_misses -= 1
-                    preg = inst.pdest
-                    if preg != NO_REG:
-                        invalid = inst.invalid
-                        file = (int_file if inst.dest_arch < _NINT
-                                else fp_file)
-                        file.ready[preg] = now       # inlined set_ready
-                        file.inv[preg] = invalid
-                        woken = file.waiters[preg]
-                        if woken:
-                            file.waiters[preg] = []
-                            for waiter in woken:
-                                src_ready(waiter, now, preg, invalid)
-                        if invalid and thread.mode is _RUNAHEAD:
-                            self._recycle_runahead_dest(thread, inst)
-                    if (inst.is_branch and not inst.invalid
-                            and inst.mispredicted):
-                        self._resolve_misprediction(inst, now)
-            elif kind == _EV_L2_DETECT:
-                if state < _RETIRED:
-                    self._on_l2_detected(inst, now)
-        if self._fold_worklist:
-            self._drain_folds(now)
+            heap_pop(heap)
+        if bucket:
+            for kind, inst in bucket:
+                state = inst.state
+                if state == _SQUASHED or state == _RETIRED:
+                    continue
+                if kind == _EV_COMPLETE:
+                    if state == _ISSUED:
+                        # Inlined _complete (the per-completion hot path).
+                        inst.state = _COMPLETED
+                        thread = threads[inst.tid]
+                        if inst.l2_counted:
+                            inst.l2_counted = False
+                            thread.pending_l2_misses -= 1
+                        preg = inst.pdest
+                        if preg != NO_REG:
+                            invalid = inst.invalid
+                            file = (int_file if inst.dest_arch < _NINT
+                                    else fp_file)
+                            file.ready[preg] = now   # inlined set_ready
+                            file.inv[preg] = invalid
+                            woken = file.waiters[preg]
+                            if woken:
+                                file.waiters[preg] = []
+                                for waiter in woken:
+                                    self._src_ready(waiter, now, preg,
+                                                    invalid)
+                            if invalid and thread.mode is _RUNAHEAD:
+                                # Inlined _recycle_runahead_dest: the
+                                # entry check holds (pdest == preg) and
+                                # ``file`` is the destination's.
+                                dest_arch = inst.dest_arch
+                                if dest_arch < _NINT:
+                                    klass = 0
+                                    arch_index = dest_arch
+                                else:
+                                    klass = 1
+                                    arch_index = dest_arch - _NINT
+                                if not file.pinned[preg]:
+                                    front = thread.rename.front[klass]
+                                    if front[arch_index] == preg:
+                                        front[arch_index] = (
+                                            thread.rename.arch[klass]
+                                            [arch_index])
+                                        if not file._allocated[preg]:
+                                            raise SimulationError(
+                                                f"{file.name}: double release of p{preg}")
+                                        file._allocated[preg] = False
+                                        file.waiters[preg].clear()
+                                        file._free.append(preg)
+                                        thread.regs_held[klass] -= 1
+                                        thread.arch_inv[dest_arch] = invalid
+                                        inst.pdest = NO_REG
+                        if (inst.is_branch and not inst.invalid
+                                and inst.mispredicted):
+                            self._resolve_misprediction(inst, now)
+                elif kind == _EV_L2_DETECT:
+                    if state < _RETIRED:
+                        self._on_l2_detected(inst, now)
+            if self._fold_worklist:
+                self._drain_folds(now)
 
     def _complete(self, inst: DynInst, now: int) -> None:
         # Readable form; _process_events carries an inlined mirror of
@@ -557,8 +596,8 @@ class SMTPipeline:
         # Stores fold only on an invalid *address* (src1); invalid store
         # data merely marks the forwarded value invalid (§3.3, runahead
         # cache discussion).
-        mask = inst.src_inv_mask
-        if (mask & 1) if inst.is_store else mask:
+        wmask = inst.src_inv_mask
+        if (wmask & 1) if inst.is_store else wmask:
             self._fold_worklist.append(inst)
         else:
             inst.state = _READY
@@ -598,23 +637,26 @@ class SMTPipeline:
     # --------------------------------------------------------------- commit
 
     def _commit_stage(self, now: int) -> None:
-        budget = self._width
+        commit_budget = self._width
         for thread in self._rotations[now % self.num_threads]:
             if (thread.mode is _RUNAHEAD            # inlined should_exit
                     and now >= thread.runahead_trigger_ready):
                 self.runahead.exit(thread, now)
                 continue
-            budget = self._commit_thread(thread, now, budget)
-            if budget <= 0:
+            commit_budget = self._commit_thread(thread, now, commit_budget)
+            if commit_budget <= 0:
                 break
 
     def _commit_thread(self, thread: ThreadContext, now: int,
-                       budget: int) -> int:
-        tid = thread.tid
+                       commit_budget: int) -> int:
         rob = self.rob
+        gstats = self.gstats
+        int_file = self.int_file
+        fp_file = self.fp_file
+        tid = thread.tid
         window = rob._queues[tid]   # peek; pops inlined below
         if not window:
-            return budget
+            return commit_budget
         stats = thread.stats
         # The mode is stable across the loop: runahead entry breaks out,
         # runahead exit happens in _commit_stage — so the normal and
@@ -623,8 +665,7 @@ class SMTPipeline:
         if thread.mode is _NORMAL:
             last_index = thread.last_index
             rename = thread.rename
-            gstats = self.gstats
-            while budget > 0 and window:
+            while commit_budget > 0 and window:
                 head = window[0]
                 if head.state == _COMPLETED:
                     window.popleft()        # inlined _commit / pop_head
@@ -635,7 +676,7 @@ class SMTPipeline:
                     stats.committed += 1
                     gstats.committed += 1
                     self._last_commit_cycle = now
-                    budget -= 1
+                    commit_budget -= 1
                     dest_arch = head.dest_arch
                     if head.pdest != NO_REG:
                         if dest_arch < _NINT:
@@ -657,14 +698,11 @@ class SMTPipeline:
                 elif (head.l2_miss and self._uses_runahead
                       and self.runahead.should_enter(thread, head, now)):
                     self._enter_runahead(thread, head, now)
-                    return budget - 1
+                    return commit_budget - 1
                 else:
                     break
-            return budget
-        int_file = self.int_file
-        fp_file = self.fp_file
-        recycle = self._recycle_runahead_dest
-        while budget > 0 and window:
+            return commit_budget
+        while commit_budget > 0 and window:
             head = window[0]
             if head.state != _COMPLETED:
                 break
@@ -676,7 +714,7 @@ class SMTPipeline:
             stats.pseudo_retired += 1
             # Forward progress, albeit speculative.
             self._last_commit_cycle = now
-            budget -= 1
+            commit_budget -= 1
             dest_arch = head.dest_arch
             if dest_arch == NO_REG:
                 continue
@@ -696,9 +734,26 @@ class SMTPipeline:
                 file.waiters[old].clear()
                 file._free.append(old)
                 thread.regs_held[klass] -= 1
-            if head.pdest != NO_REG:   # prefilter: recycle's early-out
-                recycle(thread, head)
-        return budget
+            # Inlined _recycle_runahead_dest, reusing the destination's
+            # klass and file from the release above.
+            preg = head.pdest
+            if preg != NO_REG and not file.pinned[preg]:
+                arch_index = (dest_arch if klass == 0
+                              else dest_arch - _NINT)
+                front = thread.rename.front[klass]
+                if front[arch_index] == preg:
+                    front[arch_index] = (
+                        thread.rename.arch[klass][arch_index])
+                    if not file._allocated[preg]:
+                        raise SimulationError(
+                            f"{file.name}: double release of p{preg}")
+                    file._allocated[preg] = False
+                    file.waiters[preg].clear()
+                    file._free.append(preg)
+                    thread.regs_held[klass] -= 1
+                    thread.arch_inv[dest_arch] = head.invalid
+                    head.pdest = NO_REG
+        return commit_budget
 
     def _enter_runahead(self, thread: ThreadContext, trigger: DynInst,
                         now: int) -> None:
@@ -792,87 +847,122 @@ class SMTPipeline:
     # --------------------------------------------------------------- issue
 
     def _issue_stage(self, now: int) -> None:
-        # IssueQueueKind and FUKind coincide numerically (INT/FP + LS/LDST),
-        # so the queue index doubles as the FU pool index.
-        fus = self.fus
-        available = fus._available
-        issued = fus.issued
+        available = self.fus._available
+        issued = self.fus.issued
         threads = self.threads
         events = self._events
         heap = self._event_heap
         gstats = self.gstats
-        issue_load = self._issue_load
-        issue_store = self._issue_store
+        # IssueQueueKind and FUKind coincide numerically (INT/FP + LS/LDST),
+        # so the queue index doubles as the FU pool index.
         for queue_kind in (2, 0, 1):     # LS first, then INT, FP
             queue = self.queues[queue_kind]
-            if not queue._ready:
-                continue
-            budget = available[queue_kind]
-            if budget <= 0:
-                continue
             per_thread = queue.per_thread
-            for inst in queue.take_ready(budget):
-                # Inlined _issue (the per-instruction issue hot path).
-                tid = inst.tid
-                thread = threads[tid]
-                if inst.is_load:
-                    if not issue_load(thread, inst, queue, now):
-                        continue
-                elif inst.is_store:
-                    issue_store(thread, inst, now)
-                else:
-                    cycle = now + OP_LATENCY_BY_CODE[inst.op]
-                    inst.complete_cycle = cycle
-                    bucket = events.get(cycle)   # inlined schedule()
-                    if bucket is None:
-                        events[cycle] = [(_EV_COMPLETE, inst)]
-                        heappush(heap, cycle)
+            ready = queue._ready
+            if ready:
+                limit = available[queue_kind]
+                if limit > 0:
+                    # Select up to ``limit`` ready entries, oldest first.
+                    # Squashed and folded entries are purged in passing
+                    # (a clean scan first: the common case has none, and
+                    # the scan avoids the filtering list allocation).
+                    for inst in ready:
+                        if inst.state != _READY:
+                            live = [inst for inst in ready
+                                    if inst.state == _READY]
+                            queue._ready = live
+                            break
                     else:
-                        bucket.append((_EV_COMPLETE, inst))
-                # Inlined FUPool.acquire: the take_ready budget is the
-                # available unit count, so the pool can never be
-                # exhausted here.
-                kind = OP_FU_BY_CODE[inst.op]
-                available[kind] -= 1
-                issued[kind] += 1
-                inst.state = _ISSUED
-                # Inlined queue.remove: a selected entry is always in its
-                # queue, and take_ready already stripped replay deferral.
-                inst.in_iq = False
-                queue.size -= 1
-                per_thread[tid] -= 1
-                if inst.counted:   # inlined _uncount
-                    inst.counted = False
-                    thread.icount -= 1
-                stats = thread.stats
-                stats.issued += 1
-                stats.executed += 1
-                gstats.executed += 1
+                        live = ready
+                    if live:
+                        # Entries not selected this cycle stay ready.
+                        if len(live) > limit:
+                            live.sort(key=_inst_age)
+                            selected = live[:limit]
+                            queue._ready = live[limit:]
+                        else:
+                            selected = live
+                            queue._ready = []
+                        # Selected replay loads shed their deferred
+                        # status: they re-defer via requeue on failure.
+                        if queue._replay_blocked:
+                            for inst in selected:
+                                if inst.replay:
+                                    inst.replay = False
+                                    queue._replay_blocked -= 1
+                        for inst in selected:
+                            # Inlined _issue (the per-instruction issue
+                            # hot path).
+                            tid = inst.tid
+                            thread = threads[tid]
+                            if inst.is_load:
+                                if not self._issue_load(thread, tid, inst,
+                                                        queue, now):
+                                    continue
+                            elif inst.is_store:
+                                self._issue_store(thread, tid, inst, now)
+                            else:
+                                ccycle = now + OP_LATENCY_BY_CODE[inst.op]
+                                inst.complete_cycle = ccycle
+                                bucket = events.get(ccycle)  # schedule()
+                                if bucket is None:
+                                    events[ccycle] = [(_EV_COMPLETE, inst)]
+                                    heappush(heap, ccycle)
+                                else:
+                                    bucket.append((_EV_COMPLETE, inst))
+                            # Inlined FUPool.acquire: the selection limit
+                            # is the available unit count, so the pool
+                            # can never be exhausted here.
+                            available[queue_kind] -= 1
+                            issued[queue_kind] += 1
+                            inst.state = _ISSUED
+                            # Inlined queue.remove: a selected entry is
+                            # always in its queue, and replay deferral
+                            # was stripped above.
+                            inst.in_iq = False
+                            queue.size -= 1
+                            per_thread[tid] -= 1
+                            if inst.counted:   # inlined _uncount
+                                inst.counted = False
+                                thread.icount -= 1
+                            stats = thread.stats
+                            stats.issued += 1
+                            stats.executed += 1
+                            gstats.executed += 1
         if self._fold_worklist:
             self._drain_folds(now)
 
-    def _issue_store(self, thread: ThreadContext, inst: DynInst,
+    def _issue_store(self, thread: ThreadContext, tid: int, inst: DynInst,
                      now: int) -> None:
         """Stores compute their address at issue; memory is written at
         commit (write buffer).  Runahead stores never write memory but do
         prefetch their line and feed the runahead cache (§3.3)."""
-        inst.complete_cycle = now + 1
-        self.schedule(inst.complete_cycle, _EV_COMPLETE, inst)
+        events = self._events
+        heap = self._event_heap
+        ccycle = now + 1
+        inst.complete_cycle = ccycle
+        bucket = events.get(ccycle)          # inlined schedule()
+        if bucket is None:
+            events[ccycle] = [(_EV_COMPLETE, inst)]
+            heappush(heap, ccycle)
+        else:
+            bucket.append((_EV_COMPLETE, inst))
         if thread.mode is _RUNAHEAD:
             data_valid = not (inst.src_inv_mask & 2)
             self.runahead.on_runahead_store(thread, inst, data_valid)
             if self.runahead.prefetch:
-                self.mem.data_access_packed(inst.addr, True, now,
-                                            thread.tid, speculative=True)
+                self.mem.data_access_packed(inst.addr, True, now, tid,
+                                            speculative=True)
 
-    def _issue_load(self, thread: ThreadContext, inst: DynInst,
+    def _issue_load(self, thread: ThreadContext, tid: int, inst: DynInst,
                     queue: IssueQueue, now: int) -> bool:
         """Issue a load; returns False if it must retry (MSHRs full)."""
+        events = self._events
+        heap = self._event_heap
         if thread.mode is _RUNAHEAD:
-            self._issue_runahead_load(thread, inst, now)
+            self._issue_runahead_load(thread, tid, inst, now)
             return True
-        packed = self.mem.data_access_packed(inst.addr, False, now,
-                                             thread.tid)
+        packed = self.mem.data_access_packed(inst.addr, False, now, tid)
         if packed < 0:
             # Demand miss rejected by a full MSHR file: replay next cycle.
             # The replay flag tells the fast path this entry cannot issue
@@ -880,63 +970,63 @@ class SMTPipeline:
             # the retry window is skippable instead of stepped.
             queue.requeue(inst, replay=True)
             return False
-        cycle = packed >> 2
-        inst.complete_cycle = cycle
-        events = self._events                # inlined schedule()
-        bucket = events.get(cycle)
+        ccycle = packed >> 2
+        inst.complete_cycle = ccycle
+        bucket = events.get(ccycle)          # inlined schedule()
         if bucket is None:
-            events[cycle] = [(_EV_COMPLETE, inst)]
-            heappush(self._event_heap, cycle)
+            events[ccycle] = [(_EV_COMPLETE, inst)]
+            heappush(heap, ccycle)
         else:
             bucket.append((_EV_COMPLETE, inst))
         if packed & 2:
-            detect = min(cycle, now + self._l2_detect_latency)
+            detect = min(ccycle, now + self._l2_detect_latency)
             self.schedule(detect, _EV_L2_DETECT, inst)
         return True
 
-    def _issue_runahead_load(self, thread: ThreadContext, inst: DynInst,
-                             now: int) -> None:
+    def _issue_runahead_load(self, thread: ThreadContext, tid: int,
+                             inst: DynInst, now: int) -> None:
         """Runahead loads: cache hits complete normally; L2 misses become
         prefetches and produce INV at L2-lookup time (§3.2)."""
+        events = self._events
+        heap = self._event_heap
         forwarded = self.runahead.load_forward_validity(thread, inst)
         if forwarded is not None:
             inst.invalid = not forwarded
-            cycle = now + self._dcache_latency
+            ccycle = now + self._dcache_latency
         elif not self.runahead.prefetch:
             # Figure 4 ablation: no L2/memory traffic from runahead.
             level = self.mem.peek_data(inst.addr)
             if level == "l1":
-                cycle = now + self._dcache_latency
+                ccycle = now + self._dcache_latency
             elif level == "l2":
-                cycle = now + self._l2_detect_latency
+                ccycle = now + self._l2_detect_latency
             else:
                 inst.invalid = True
-                cycle = now + self._l2_detect_latency
+                ccycle = now + self._l2_detect_latency
                 thread.no_retrigger.add(
                     inst.pass_no * thread.retrigger_stride
                     + inst.trace_index)
         else:
             packed = self.mem.data_access_packed(
-                inst.addr, False, now, thread.tid, speculative=True)
+                inst.addr, False, now, tid, speculative=True)
             if packed < 0:
                 # Prefetch dropped (MSHRs full): bogus value, no retry.
                 inst.invalid = True
-                cycle = now + self._dcache_latency
+                ccycle = now + self._dcache_latency
             elif packed & 2:
                 # Long-latency: invalidate the dest, keep the fill as
                 # prefetch.
                 inst.invalid = True
-                cycle = min(packed >> 2, now + self._l2_detect_latency)
+                ccycle = min(packed >> 2, now + self._l2_detect_latency)
                 if self.runahead.stop_fetch_on_l2_miss:
                     thread.gate_fetch_until(thread.runahead_trigger_ready)
             else:
-                cycle = packed >> 2
-        inst.complete_cycle = cycle
-        events = self._events                # inlined schedule()
-        bucket = events.get(cycle)
+                ccycle = packed >> 2
+        inst.complete_cycle = ccycle
+        bucket = events.get(ccycle)          # inlined schedule()
         if bucket is None:
-            events[cycle] = [(_EV_COMPLETE, inst)]
-            heappush(self._event_heap, cycle)
+            events[ccycle] = [(_EV_COMPLETE, inst)]
+            heappush(heap, ccycle)
         else:
             bucket.append((_EV_COMPLETE, inst))
 
@@ -1004,289 +1094,275 @@ class SMTPipeline:
     # --------------------------------------------------------------- dispatch
 
     def _dispatch_stage(self, now: int) -> None:
-        budget = self._width
-        dispatch = self._dispatch
+        """Rename and insert up to ``width`` instructions from the fetch
+        queues, round robin; a thread stops at its first instruction
+        whose resources (ROB or issue-queue entry, rename register)
+        lack."""
+        rob = self.rob
+        rob_queues = rob._queues
+        rob_pt = rob.per_thread
+        queues = self.queues
+        iq_caps = self._iq_caps
+        int_file = self.int_file
+        fp_file = self.fp_file
+        gstats = self.gstats
+        dispatch_budget = self._width
         for thread in self._rotations[now % self.num_threads]:
             fetch_queue = thread.fetch_queue
-            while budget > 0 and fetch_queue:
-                if not dispatch(thread, fetch_queue[0], now):
-                    self.gstats.dispatch_stalls += 1
-                    break
-                fetch_queue.popleft()
-                budget -= 1
-            if budget <= 0:
+            tid = thread.tid
+            if dispatch_budget > 0 and fetch_queue:
+                robq = rob_queues[tid]
+                stats = thread.stats
+                arch_inv = thread.arch_inv
+                front = thread.rename.front
+                front0 = front[0]
+                front1 = front[1]
+                while dispatch_budget > 0 and fetch_queue:
+                    if rob._occupancy >= rob.capacity:   # inlined is_full
+                        gstats.dispatch_stalls += 1
+                        break
+                    inst = fetch_queue[0]
+                    op = inst.op
+                    if thread.mode is _RUNAHEAD and (
+                            (self._ra_fp_inval and IS_FP_BY_CODE[op])
+                            or op == _SYNC_CODE):
+                        # §3.3: FP compute and synchronization ops in
+                        # runahead use no resources past decode —
+                        # straight to pseudo-commit, INV.
+                        robq.append(inst)   # inlined append
+                        rob._occupancy += 1
+                        rob_pt[tid] += 1
+                        thread.rob_held += 1
+                        inst.state = _COMPLETED
+                        inst.invalid = True
+                        inst.complete_cycle = now
+                        if inst.counted:   # inlined _uncount
+                            inst.counted = False
+                            thread.icount -= 1
+                        if IS_FP_BY_CODE[op] and inst.dest_arch != NO_REG:
+                            # inlined note_arch_invalid
+                            arch_inv[inst.dest_arch] = True
+                        stats.dispatched += 1
+                        stats.folded += 1
+                        fetch_queue.popleft()
+                        dispatch_budget -= 1
+                        continue
+                    qk = OP_QUEUE_BY_CODE[op]
+                    queue = queues[qk]
+                    if queue.size >= iq_caps[qk]:   # inlined is_full
+                        gstats.dispatch_stalls += 1
+                        break
+                    dest_arch = inst.dest_arch
+                    if dest_arch != NO_REG:
+                        dest_file = (int_file if dest_arch < _NINT
+                                     else fp_file)
+                        if not dest_file._free:   # free_count == 0
+                            gstats.dispatch_stalls += 1
+                            break
+                    else:
+                        dest_file = None
+
+                    robq.append(inst)   # inlined append, checked above
+                    rob._occupancy += 1
+                    rob_pt[tid] += 1
+                    thread.rob_held += 1
+                    inst.state = _DISPATCHED
+                    stats.dispatched += 1
+
+                    # Source renaming, inlined twice (the per-instruction
+                    # dispatch hot path).
+                    pending = 0
+                    arch = inst.src1_arch
+                    if arch != NO_REG:
+                        if arch_inv[arch]:
+                            # The producer's register was reclaimed early
+                            # (INV recycling or FP decode drop): INV at
+                            # architectural level, nothing to wait for.
+                            inst.src_inv_mask |= 1
+                        else:
+                            if arch < _NINT:
+                                file = int_file
+                                preg = front0[arch]
+                            else:
+                                file = fp_file
+                                preg = front1[arch - _NINT]
+                            inst.psrc1 = preg
+                            if file.ready[preg] <= now:
+                                if file.inv[preg]:
+                                    inst.src_inv_mask |= 1
+                            else:
+                                file.waiters[preg].append(inst)
+                                pending += 1
+                    arch = inst.src2_arch
+                    if arch != NO_REG:
+                        if arch_inv[arch]:
+                            inst.src_inv_mask |= 2
+                        else:
+                            if arch < _NINT:
+                                file = int_file
+                                preg = front0[arch]
+                            else:
+                                file = fp_file
+                                preg = front1[arch - _NINT]
+                            inst.psrc2 = preg
+                            if file.ready[preg] <= now:
+                                if file.inv[preg]:
+                                    inst.src_inv_mask |= 2
+                            else:
+                                file.waiters[preg].append(inst)
+                                pending += 1
+                    inst.pending_srcs = pending
+
+                    if dest_file is not None:
+                        # Inlined PhysRegFile.alloc (the free list was
+                        # checked above).
+                        free = dest_file._free
+                        preg = free.pop()
+                        dest_file._allocated[preg] = True
+                        dest_file.ready[preg] = _NEVER
+                        dest_file.inv[preg] = False
+                        dest_file.pinned[preg] = False
+                        used = dest_file.size - len(free)
+                        if used > dest_file.high_water:
+                            dest_file.high_water = used
+                        if dest_arch < _NINT:
+                            klass = 0
+                            arch_index = dest_arch
+                            fmap = front0
+                        else:
+                            klass = 1
+                            arch_index = dest_arch - _NINT
+                            fmap = front1
+                        inst.pdest = preg
+                        inst.old_pdest = fmap[arch_index]  # rename_dest
+                        fmap[arch_index] = preg
+                        thread.regs_held[klass] += 1
+                        # A renamed write supersedes any early-reclaimed
+                        # INV producer.
+                        arch_inv[dest_arch] = False
+
+                    queue.size += 1   # inlined insert, checked above
+                    queue.per_thread[tid] += 1
+                    inst.in_iq = True
+                    if pending == 0:
+                        mask = inst.src_inv_mask   # _operands_invalid
+                        if (mask & 1) if inst.is_store else mask:
+                            self._fold(inst, now)
+                        else:
+                            inst.state = _READY
+                            queue._ready.append(inst)   # mark_ready
+                    fetch_queue.popleft()
+                    dispatch_budget -= 1
+            if dispatch_budget <= 0:
                 break
         if self._fold_worklist:
             self._drain_folds(now)
 
-    def _dispatch(self, thread: ThreadContext, inst: DynInst,
-                  now: int) -> bool:
-        """Rename and insert one instruction; False if resources lack."""
-        rob = self.rob
-        if rob._occupancy >= rob.capacity:   # inlined is_full
-            return False
-        op = inst.op
-
-        drop_at_decode = thread.mode is _RUNAHEAD and (
-            (self._ra_fp_inval and IS_FP_BY_CODE[op])
-            or op == _SYNC_CODE)
-        if drop_at_decode:
-            # §3.3: FP compute and synchronization ops in runahead use no
-            # resources past decode — straight to pseudo-commit, INV.
-            rob._queues[inst.tid].append(inst)   # inlined append
-            rob._occupancy += 1
-            rob.per_thread[inst.tid] += 1
-            thread.rob_held += 1
-            inst.state = _COMPLETED
-            inst.invalid = True
-            inst.complete_cycle = now
-            self._uncount(inst)
-            if IS_FP_BY_CODE[op] and inst.dest_arch != NO_REG:
-                thread.note_arch_invalid(inst.dest_arch, True)
-            thread.stats.dispatched += 1
-            thread.stats.folded += 1
-            return True
-
-        queue = self.queues[OP_QUEUE_BY_CODE[op]]
-        if queue.size >= queue.capacity:   # inlined is_full
-            return False
-        dest_arch = inst.dest_arch
-        if dest_arch != NO_REG:
-            dest_file = self.int_file if dest_arch < _NINT else self.fp_file
-            if not dest_file._free:   # free_count == 0, sans property call
-                return False
-        else:
-            dest_file = None
-
-        rob._queues[inst.tid].append(inst)   # inlined append, checked above
-        rob._occupancy += 1
-        rob.per_thread[inst.tid] += 1
-        thread.rob_held += 1
-        inst.state = _DISPATCHED
-        thread.stats.dispatched += 1
-
-        # Source renaming, inlined twice (this is the per-instruction
-        # dispatch hot path; see _rename_source for the readable form).
-        pending = 0
-        arch_inv = thread.arch_inv
-        front = thread.rename.front
-        arch = inst.src1_arch
-        if arch != NO_REG:
-            if arch_inv[arch]:
-                inst.src_inv_mask |= 1
-            else:
-                if arch < _NINT:
-                    file = self.int_file
-                    preg = front[0][arch]
-                else:
-                    file = self.fp_file
-                    preg = front[1][arch - _NINT]
-                inst.psrc1 = preg
-                if file.ready[preg] <= now:
-                    if file.inv[preg]:
-                        inst.src_inv_mask |= 1
-                else:
-                    file.waiters[preg].append(inst)
-                    pending += 1
-        arch = inst.src2_arch
-        if arch != NO_REG:
-            if arch_inv[arch]:
-                inst.src_inv_mask |= 2
-            else:
-                if arch < _NINT:
-                    file = self.int_file
-                    preg = front[0][arch]
-                else:
-                    file = self.fp_file
-                    preg = front[1][arch - _NINT]
-                inst.psrc2 = preg
-                if file.ready[preg] <= now:
-                    if file.inv[preg]:
-                        inst.src_inv_mask |= 2
-                else:
-                    file.waiters[preg].append(inst)
-                    pending += 1
-        inst.pending_srcs = pending
-
-        if dest_file is not None:
-            # Inlined PhysRegFile.alloc (the free list was checked above).
-            free = dest_file._free
-            preg = free.pop()
-            dest_file._allocated[preg] = True
-            dest_file.ready[preg] = _NEVER
-            dest_file.inv[preg] = False
-            dest_file.pinned[preg] = False
-            used = dest_file.size - len(free)
-            if used > dest_file.high_water:
-                dest_file.high_water = used
-            if dest_arch < _NINT:
-                klass = 0
-                arch_index = dest_arch
-                fmap = front[0]
-            else:
-                klass = 1
-                arch_index = dest_arch - _NINT
-                fmap = front[1]
-            inst.pdest = preg
-            inst.old_pdest = fmap[arch_index]    # inlined rename_dest
-            fmap[arch_index] = preg
-            thread.regs_held[klass] += 1
-            # A renamed write supersedes any early-reclaimed INV producer.
-            arch_inv[dest_arch] = False
-
-        queue.size += 1                      # inlined insert, checked above
-        queue.per_thread[inst.tid] += 1
-        inst.in_iq = True
-        if pending == 0:
-            mask = inst.src_inv_mask         # inlined _operands_invalid
-            if (mask & 1) if inst.is_store else mask:
-                self._fold(inst, now)
-            else:
-                inst.state = _READY
-                queue._ready.append(inst)    # inlined mark_ready
-        return True
-
-    def _rename_source(self, thread: ThreadContext, inst: DynInst,
-                       which: int, now: int) -> int:
-        """Rename one source; returns 1 if the operand is outstanding."""
-        arch = inst.src1_arch if which == 1 else inst.src2_arch
-        if arch == NO_REG:
-            return 0
-        if thread.arch_inv[arch]:
-            # The producer's register was reclaimed early (INV recycling or
-            # FP decode drop): the value is INV at architectural level;
-            # nothing to wait for, no register to read.
-            inst.src_inv_mask |= which
-            return 0
-        if arch < _NINT:
-            file = self.int_file
-            preg = thread.rename.front[0][arch]
-        else:
-            file = self.fp_file
-            preg = thread.rename.front[1][arch - _NINT]
-        if which == 1:
-            inst.psrc1 = preg
-        else:
-            inst.psrc2 = preg
-        if file.ready[preg] <= now:
-            if file.inv[preg]:
-                inst.src_inv_mask |= which
-            return 0
-        file.waiters[preg].append(inst)
-        return 1
-
     # --------------------------------------------------------------- fetch
 
     def _fetch_stage(self, now: int) -> None:
+        threads = self.threads
+        ifetch_packed = self.mem.ifetch_packed
         order = self.policy.fetch_order(now)
         fetched_total = 0
         threads_used = 0
-        width = self._width
-        fetch_threads = self._fetch_threads
-        threads = self.threads
         for tid in order:
-            if threads_used >= fetch_threads:
+            if threads_used >= self._fetch_threads:
                 break
-            if fetched_total >= width:
+            if fetched_total >= self._width:
                 break
             thread = threads[tid]
             if (now < thread.fetch_blocked_until     # inlined can_fetch
                     or now < thread.fetch_gated_until):
                 self.gstats.fetch_conflicts += 1
                 continue
-            taken = self._fetch_thread(thread, now, width - fetched_total)
-            if taken > 0:
-                fetched_total += taken
+            fetch_queue = thread.fetch_queue
+            buffer_room = self._fetch_buffer_size - len(fetch_queue)
+            if buffer_room <= 0:
+                # Full fetch buffer (dispatch is the bottleneck): bail
+                # before paying for the hot-loop hoists below.
+                continue
+            limit = self._width - fetched_total
+            if buffer_room < limit:
+                limit = buffer_room
+            count = 0
+            icache_done = now + self._icache_latency
+            stats = thread.stats
+            gseq = self._gseq
+            # Trace columns and address math, hoisted for the inlined
+            # ThreadContext.next_inst below (this loop materializes every
+            # dynamic instruction in the simulation).  The mode is stable
+            # within a fetch block: runahead entry/exit happen at commit.
+            # ``pcs_off``/``fetch_lines`` carry the thread's code offset
+            # and the i-cache line index pre-folded (see __init__).
+            pcs_off = thread.pcs_off
+            lines = thread.fetch_lines
+            ops = thread.ops
+            dests = thread.dests
+            src1s = thread.src1s
+            src2s = thread.src2s
+            addrs = thread.addrs
+            takens = thread.takens
+            data_base = thread.data_base
+            pass_stride = thread._pass_stride
+            data_region = thread.data_region
+            trace_len = len(ops)
+            in_runahead = thread.mode is _RUNAHEAD
+            seq = thread.seq
+            cursor = thread.cursor
+            append = fetch_queue.append
+            while count < limit:
+                line = lines[cursor]
+                if line != thread.fetch_line:
+                    complete = ifetch_packed(pcs_off[cursor], now, tid,
+                                             speculative=in_runahead) >> 2
+                    thread.fetch_line = line
+                    if complete > icache_done:
+                        thread.block_fetch_until(complete)
+                        break
+                # Inlined thread.next_inst over the precomputed columns.
+                pc = pcs_off[cursor]
+                pass_no = thread.pass_no
+                inst = DynInst(
+                    tid, seq, cursor, pass_no,
+                    ops[cursor], pc, 0,
+                    dests[cursor], src1s[cursor], src2s[cursor],
+                    takens[cursor],
+                )
+                inst.gseq = gseq
+                gseq += 1
+                if inst.is_mem:
+                    inst.addr = data_base + (
+                        (addrs[cursor] + pass_no * pass_stride)
+                        % data_region)
+                inst.runahead = in_runahead
+                seq += 1
+                cursor += 1
+                if cursor >= trace_len:
+                    cursor = 0
+                    thread.pass_no = pass_no + 1
+                inst.counted = True
+                append(inst)
+                count += 1
+                if inst.is_branch:
+                    stats.branches += 1
+                    correct = self.predictor.predict(tid, pc, inst.taken)
+                    inst.mispredicted = not correct
+                    if inst.taken:
+                        # Taken branch ends this thread's fetch block; a
+                        # BTB miss costs one redirect bubble.
+                        if not self.btb.lookup_and_insert(pc):
+                            thread.block_fetch_until(now + 2)
+                        break
+            thread.cursor = cursor
+            if count:
+                # Per-instruction counters, applied once per fetch block.
+                self._gseq = gseq
+                thread.seq = seq
+                thread.icount += count
+                stats.fetched += count
+                fetched_total += count
                 threads_used += 1
-
-    def _fetch_thread(self, thread: ThreadContext, now: int,
-                      limit: int) -> int:
-        fetch_queue = thread.fetch_queue
-        buffer_room = self._fetch_buffer_size - len(fetch_queue)
-        if buffer_room <= 0:
-            # Full fetch buffer (dispatch is the bottleneck): bail before
-            # paying for the hot-loop hoists below.
-            return 0
-        if buffer_room < limit:
-            limit = buffer_room
-        count = 0
-        icache_done = now + self._icache_latency
-        stats = thread.stats
-        gseq = self._gseq
-        # Trace columns and address math, hoisted for the inlined
-        # ThreadContext.next_inst below (this loop materializes every
-        # dynamic instruction in the simulation).  The mode is stable
-        # within a fetch block: runahead entry/exit happen at commit.
-        # ``pcs_off``/``fetch_lines`` carry the thread's code offset and
-        # the i-cache line index pre-folded (see __init__).
-        pcs_off = thread.pcs_off
-        lines = thread.fetch_lines
-        ops = thread.ops
-        dests = thread.dests
-        src1s = thread.src1s
-        src2s = thread.src2s
-        addrs = thread.addrs
-        takens = thread.takens
-        tid = thread.tid
-        data_base = thread.data_base
-        pass_stride = thread._pass_stride
-        data_region = thread.data_region
-        trace_len = len(ops)
-        in_runahead = thread.mode is _RUNAHEAD
-        seq = thread.seq
-        cursor = thread.cursor
-        append = fetch_queue.append
-        ifetch_packed = self.mem.ifetch_packed
-        while count < limit:
-            line = lines[cursor]
-            if line != thread.fetch_line:
-                complete = ifetch_packed(pcs_off[cursor], now, tid,
-                                         speculative=in_runahead) >> 2
-                thread.fetch_line = line
-                if complete > icache_done:
-                    thread.block_fetch_until(complete)
-                    break
-            # Inlined thread.next_inst over the precomputed columns.
-            pc = pcs_off[cursor]
-            pass_no = thread.pass_no
-            inst = DynInst(
-                tid, seq, cursor, pass_no,
-                ops[cursor], pc, 0,
-                dests[cursor], src1s[cursor], src2s[cursor],
-                takens[cursor],
-            )
-            inst.gseq = gseq
-            gseq += 1
-            if inst.is_mem:
-                inst.addr = data_base + (
-                    (addrs[cursor] + pass_no * pass_stride) % data_region)
-            inst.runahead = in_runahead
-            seq += 1
-            cursor += 1
-            if cursor >= trace_len:
-                cursor = 0
-                thread.pass_no = pass_no + 1
-            inst.counted = True
-            append(inst)
-            count += 1
-            if inst.is_branch:
-                stats.branches += 1
-                correct = self.predictor.predict(tid, pc, inst.taken)
-                inst.mispredicted = not correct
-                if inst.taken:
-                    # Taken branch ends this thread's fetch block; a BTB
-                    # miss costs one redirect bubble.
-                    if not self.btb.lookup_and_insert(pc):
-                        thread.block_fetch_until(now + 2)
-                    break
-        thread.cursor = cursor
-        if count:
-            # Per-instruction counters, applied once per fetch block.
-            self._gseq = gseq
-            thread.seq = seq
-            thread.icount += count
-            stats.fetched += count
-        return count
 
     # --------------------------------------------------------------- sampling
 

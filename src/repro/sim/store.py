@@ -51,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -206,6 +207,27 @@ class CacheEntry:
     size_bytes: int
 
 
+def _prune_cutoff(stale_salts: bool, older_than_days: Optional[float],
+                 now: Optional[float]) -> Optional[float]:
+    """The mtime below which a prune drops entries (None: no age test),
+    after checking its criteria: at least one, and an age that is a
+    finite number of days >= 0 (a negative age would put the cutoff in
+    the future and drop every entry; NaN would silently keep all)."""
+    if not stale_salts and older_than_days is None:
+        raise ValueError(
+            "prune needs a criterion: stale_salts and/or "
+            "older_than_days")
+    if older_than_days is None:
+        return None
+    if not (math.isfinite(older_than_days) and older_than_days >= 0):
+        raise ValueError("older_than_days must be a finite number of "
+                         f"days >= 0, got {older_than_days!r}")
+    # Pruning is genuinely wall-clock maintenance (entry age), not
+    # simulation semantics; tests pin `now`.
+    reference = time.time() if now is None else now  # lint: disable=determinism-hazard
+    return reference - older_than_days * 86400.0
+
+
 @dataclasses.dataclass
 class PruneResult:
     """Outcome of a :meth:`DiskStore.prune` pass."""
@@ -355,15 +377,7 @@ class DiskStore(ResultStore):
         An entry is removed when it matches *any* enabled criterion.
         At least one criterion must be enabled.
         """
-        if not stale_salts and older_than_days is None:
-            raise ValueError(
-                "prune needs a criterion: stale_salts and/or "
-                "older_than_days")
-        # Pruning is genuinely wall-clock maintenance (entry age), not
-        # simulation semantics; tests pin `now`.
-        reference = time.time() if now is None else now  # lint: disable=determinism-hazard
-        cutoff = (reference - older_than_days * 86400.0
-                  if older_than_days is not None else None)
+        cutoff = _prune_cutoff(stale_salts, older_than_days, now)
         outcome = PruneResult()
         for entry in self.entries(need_salt=stale_salts):
             outcome.examined += 1
@@ -517,15 +531,7 @@ class ExhibitRenderCache:
         against ``EXHIBIT_RENDER_SALT`` (corrupt payloads count as
         stale — they can never hit).
         """
-        if not stale_salts and older_than_days is None:
-            raise ValueError(
-                "prune needs a criterion: stale_salts and/or "
-                "older_than_days")
-        # Pruning is genuinely wall-clock maintenance (entry age), not
-        # simulation semantics; tests pin `now`.
-        reference = time.time() if now is None else now  # lint: disable=determinism-hazard
-        cutoff = (reference - older_than_days * 86400.0
-                  if older_than_days is not None else None)
+        cutoff = _prune_cutoff(stale_salts, older_than_days, now)
         outcome = PruneResult()
         for entry in self.entries(need_salt=stale_salts):
             outcome.examined += 1

@@ -243,3 +243,53 @@ class TestCacheCliBothPools:
         assert "prune (render cache): removed 2 of 2" in out
         assert DiskStore(str(tmp_path)).stats()["entries"] == 0
         assert cache.stats()["entries"] == 0
+
+
+#: Ages a prune must refuse: a negative one puts the cutoff in the
+#: future (every entry "too old"), NaN and infinity compare to nothing
+#: sensible.
+BAD_AGES = ("-1", "nan", "inf")
+
+
+class TestPruneAgeValidation:
+    @pytest.mark.parametrize("age", BAD_AGES)
+    def test_disk_store_rejects_bad_age(self, tmp_path, age):
+        store = DiskStore(str(tmp_path))
+        populate(store, KEYS_NOW)
+        with pytest.raises(ValueError, match="finite number of days"):
+            store.prune(older_than_days=float(age), dry_run=True)
+        assert store.stats()["entries"] == 2
+
+    @pytest.mark.parametrize("age", BAD_AGES)
+    def test_render_cache_rejects_bad_age(self, tmp_path, age):
+        cache = ExhibitRenderCache(str(tmp_path / EXHIBIT_DIR))
+        with pytest.raises(ValueError, match="finite number of days"):
+            cache.prune(older_than_days=float(age), dry_run=True)
+
+    def test_zero_age_prunes_entries_older_than_now(self, tmp_path):
+        store = DiskStore(str(tmp_path))
+        populate(store, KEYS_NOW)
+        outcome = store.prune(older_than_days=0, now=time.time() + 60)
+        assert (outcome.examined, outcome.removed) == (2, 2)
+        cache = ExhibitRenderCache(str(tmp_path / EXHIBIT_DIR))
+        populate_render_cache(cache, RENDER_KEYS_NOW)
+        assert cache.prune(older_than_days=0,
+                           now=time.time() + 60).removed == 1
+
+    @pytest.mark.parametrize("age", BAD_AGES)
+    def test_cli_rejects_bad_age(self, tmp_path, capsys, age):
+        store = DiskStore(str(tmp_path))
+        populate(store, KEYS_NOW)
+        with pytest.raises(SystemExit) as info:
+            main(["cache", "prune", "--cache-dir", str(tmp_path),
+                  "--older-than-days", age, "--dry-run"])
+        assert info.value.code == 2
+        assert "finite number of days >= 0" in capsys.readouterr().err
+        assert DiskStore(str(tmp_path)).stats()["entries"] == 2
+
+    def test_cli_zero_age_works(self, tmp_path, capsys):
+        store = DiskStore(str(tmp_path))
+        populate(store, KEYS_NOW)
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path),
+                     "--older-than-days", "0", "--dry-run"]) == 0
+        assert "would remove" in capsys.readouterr().out

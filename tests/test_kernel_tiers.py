@@ -24,7 +24,7 @@ import pytest
 
 from repro import isa
 from repro.config import KERNEL_ENV_VAR, KERNEL_MODES, baseline, kernel_mode
-from repro.core import kernel_cache, kernel_gen
+from repro.core import kernel_gen, pipeline
 from repro.core.kernel_cache import (cache_info, clear_cache,
                                      kernel_filename, specialized_run_loop)
 from repro.core.kernel_gen import specialization_key
@@ -293,13 +293,14 @@ def test_process_pool_workers_inherit_kernel_choice(monkeypatch):
 
 
 def test_split_queue_and_fu_tables_refuse_import(monkeypatch):
-    """The derived issue stage folds ``OP_FU_BY_CODE[op]`` to the queue
-    kind; tables that disagree must stop the import with an explicit
-    raise (an ``assert`` would vanish under ``python -O``)."""
+    """The issue stage (and so every derived kernel) charges an
+    instruction to the FU pool of its queue kind; tables that disagree
+    must stop the import with an explicit raise (an ``assert`` would
+    vanish under ``python -O``)."""
     split = list(isa.OP_FU_BY_CODE)
     split[0] = (split[0] + 1) % 3
     monkeypatch.setattr(isa, "OP_FU_BY_CODE", split)
     with pytest.raises(ImportError, match="queue kind == FU kind"):
-        importlib.reload(kernel_cache)
+        importlib.reload(pipeline)
     monkeypatch.undo()
-    importlib.reload(kernel_cache)
+    importlib.reload(pipeline)

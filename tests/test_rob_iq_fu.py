@@ -8,6 +8,7 @@ from repro.core.issue_queue import IssueQueue, MEMORY_WAIT
 from repro.core.rob import SharedROB
 from repro.errors import SimulationError
 from repro.isa import FUKind, OpClass
+from repro.testing import TraceBuilder, make_processor
 
 
 def _inst(tid=0, seq=0, op=OpClass.IALU, gseq=None):
@@ -15,6 +16,35 @@ def _inst(tid=0, seq=0, op=OpClass.IALU, gseq=None):
                    False)
     inst.gseq = gseq if gseq is not None else seq
     return inst
+
+
+def _pipeline(threads=1):
+    """A machine with empty issue queues: selection from a ready list is
+    open-coded in its issue stage (``SMTPipeline._issue_stage``)."""
+    traces = [TraceBuilder(name=f"t{i}").nops(4).build()
+              for i in range(threads)]
+    return make_processor(traces).pipeline
+
+
+def _ready(pipeline, kind, inst, insert=True):
+    """Put ``inst`` on queue ``kind``'s ready list, as wakeup does."""
+    queue = pipeline.queues[kind]
+    if insert:
+        queue.insert(inst)
+    inst.state = InstState.READY
+    queue.mark_ready(inst)
+    return inst
+
+
+def _issue(pipeline, kind, limit, now=0):
+    """One issue stage with ``limit`` units of ``kind`` free (and none
+    of the others): the instructions it issued, oldest first."""
+    ready = list(pipeline.queues[kind]._ready)
+    pipeline.fus._available[:] = [0, 0, 0]
+    pipeline.fus._available[kind] = limit
+    pipeline._issue_stage(now)
+    return sorted((inst for inst in ready if inst.state == InstState.ISSUED),
+                  key=lambda inst: inst.gseq)
 
 
 class TestSharedROB:
@@ -98,33 +128,33 @@ class TestIssueQueue:
             queue.insert(_inst(seq=1))
 
     def test_take_ready_oldest_first_across_threads(self):
-        queue = IssueQueue("int", 8, 2)
-        young = _inst(tid=0, seq=5, gseq=10)
-        old = _inst(tid=1, seq=1, gseq=2)
-        for inst in (young, old):
-            inst.state = InstState.READY
-            queue.mark_ready(inst)
-        selected = queue.take_ready(1)
-        assert selected == [old]
+        # Selection is the issue stage's: one INT unit picks the oldest
+        # ready instruction by global fetch order, whatever its thread.
+        pipeline = _pipeline(threads=2)
+        young = _ready(pipeline, 0, _inst(tid=0, seq=5, gseq=10))
+        old = _ready(pipeline, 0, _inst(tid=1, seq=1, gseq=2))
+        assert _issue(pipeline, 0, limit=1) == [old]
         # The unselected instruction stays ready for the next cycle.
-        assert queue.take_ready(1) == [young]
+        assert pipeline.queues[0]._ready == [young]
+        assert _issue(pipeline, 0, limit=1, now=1) == [young]
+        assert pipeline.queues[0].size == 0
 
     def test_take_ready_purges_squashed(self):
-        queue = IssueQueue("int", 8, 1)
-        dead = _inst(seq=0)
+        pipeline = _pipeline()
+        dead = _ready(pipeline, 0, _inst(seq=0), insert=False)
         dead.state = InstState.SQUASHED
-        live = _inst(seq=1)
-        live.state = InstState.READY
-        queue.mark_ready(dead)
-        queue.mark_ready(live)
-        assert queue.take_ready(4) == [live]
+        live = _ready(pipeline, 0, _inst(seq=1))
+        assert _issue(pipeline, 0, limit=4) == [live]
+        assert dead.state == InstState.SQUASHED
+        assert pipeline.queues[0]._ready == []
 
     def test_requeue(self):
         queue = IssueQueue("int", 8, 1)
         inst = _inst()
         inst.state = InstState.READY
         queue.requeue(inst)
-        assert queue.take_ready(1) == [inst]
+        assert queue.ready_count() == 1
+        assert queue.next_ready_cycle(5) == 5
 
     def test_ready_count(self):
         queue = IssueQueue("int", 8, 1)
@@ -169,13 +199,16 @@ class TestNextReadyCycle:
         assert queue.next_ready_cycle(7) == 7
 
     def test_take_ready_sheds_replay_deferral(self):
-        queue = IssueQueue("ls", 8, 1)
+        # A selected replay load sheds its deferral before the issue
+        # attempt (here it issues: the MSHR file has room).
+        pipeline = _pipeline()
+        queue = pipeline.queues[2]
         inst = _inst(op=OpClass.LOAD)
-        inst.state = InstState.READY
         queue.insert(inst)
+        inst.state = InstState.READY
         queue.requeue(inst, replay=True)
-        selected = queue.take_ready(4)
-        assert selected == [inst]
+        assert queue.next_ready_cycle(0) == MEMORY_WAIT
+        assert _issue(pipeline, 2, limit=4) == [inst]
         assert not inst.replay
         assert queue._replay_blocked == 0
 

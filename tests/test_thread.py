@@ -129,7 +129,7 @@ class TestArchInvalid:
 
 class TestNextInstMatchesPipelineInline:
     """``ThreadContext.next_inst`` is the readable reference for the
-    fetch loop inlined into ``SMTPipeline._fetch_thread``; this pins the
+    fetch loop inlined into ``SMTPipeline._fetch_stage``; this pins the
     two copies together so an edit to either cannot silently diverge.
     """
 

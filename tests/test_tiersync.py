@@ -1,13 +1,13 @@
 """Tests for kernel derivation, the tier-sync rule and horizon-purity.
 
 The kernel tier is derived from the python tier, so the contract is:
-an edit to a stage statement that no declared operation pins reaches
-the derived kernel with no other file touched; an edit that breaks a
-declared operation (a concrete ``stmt`` pattern, a guarded helper)
-raises :class:`SubstitutionError` naming the ``core/pipeline.py`` line,
-at run time and as a ``repro lint`` finding.  Seeded edits run against
-full copies of the real package, so the fixtures drift together with
-the code they check.
+an edit to a stage statement reaches the derived kernel with no other
+file touched; an edit that breaks the derivation (an inlined call
+site, a stage binding that restates no kernel hoist, a constant fold
+no stage reads any more) raises :class:`SubstitutionError` naming the
+``core/pipeline.py`` line, at run time and as a ``repro lint`` finding.
+Seeded edits run against full copies of the real package, so the
+fixtures drift together with the code they check.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.analysis import LintOptions, run_lint
 from repro.analysis.astutil import iter_functions
 from repro.analysis.cli import lint_main
 from repro.analysis.hotpath import check_function
-from repro.core.astrewrite import SubstitutionError, check_guard
+from repro.core.astrewrite import SubstitutionError
 from repro.core.kernel_gen import TIERSYNC_KEY, KernelDeriver
 
 PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
@@ -40,10 +40,7 @@ REQUIRED_COVERAGE = (
     "core/pipeline.py:SMTPipeline._issue_stage",
     "core/pipeline.py:SMTPipeline._issue_load",
     "core/pipeline.py:SMTPipeline._dispatch_stage",
-    "core/pipeline.py:SMTPipeline._dispatch",
     "core/pipeline.py:SMTPipeline._fetch_stage",
-    "core/pipeline.py:SMTPipeline._fetch_thread",
-    "core/issue_queue.py:IssueQueue.take_ready",
 )
 
 
@@ -111,7 +108,7 @@ def test_horizon_purity_clean_on_real_tree():
 
 
 # ---------------------------------------------------------------------------
-# Seeded edits: unpinned statements flow through, pinned ones stop.
+# Seeded edits: stage statements flow through, broken derivations stop.
 
 def _derive(root, key=TIERSYNC_KEY):
     """Derive ``key``'s kernel from the sources under ``root``."""
@@ -132,17 +129,17 @@ def _def_line(root, qualname):
 
 
 def test_stage_edit_flows_into_derived_kernel(package_copy):
-    # One semantic line in the fetch hot loop (count += 1 -> += 2) that
-    # no declared operation pins: the kernel derived from the edited
-    # tree carries it, and the lint stays clean.
+    # One semantic line in the fetch hot loop (count += 1 -> += 2): the
+    # kernel derived from the edited tree carries it, and the lint
+    # stays clean.
     assert "count += 2" not in _derive(package_copy)
     _edit(package_copy, "core/pipeline.py",
-          "            inst.counted = True\n"
-          "            append(inst)\n"
-          "            count += 1",
-          "            inst.counted = True\n"
-          "            append(inst)\n"
-          "            count += 2")
+          "                inst.counted = True\n"
+          "                append(inst)\n"
+          "                count += 1",
+          "                inst.counted = True\n"
+          "                append(inst)\n"
+          "                count += 2")
     for key in (TIERSYNC_KEY, TIERSYNC_KEY._replace(uses_runahead=False,
                                                     num_threads=1)):
         source = _derive(package_copy, key)
@@ -154,77 +151,92 @@ def test_stage_edit_flows_into_derived_kernel(package_copy):
 
 def test_new_stage_statement_flows_into_derived_kernel(package_copy):
     _edit(package_copy, "core/pipeline.py",
-          "        count = 0\n"
-          "        icache_done = now + self._icache_latency",
-          "        count = 0\n"
-          "        fetched_n = 0\n"
-          "        icache_done = now + self._icache_latency")
+          "            count = 0\n"
+          "            icache_done = now + self._icache_latency",
+          "            count = 0\n"
+          "            fetched_n = 0\n"
+          "            icache_done = now + self._icache_latency")
     source = _derive(package_copy)
     assert "fetched_n = 0" in source
     # ...with the surrounding folds still applied around it.
     assert "icache_done = now + 3" in source
 
 
-def test_edit_inside_stmt_pattern_raises(package_copy):
-    # The dispatch queue-capacity check is absorbed by a concrete
-    # rewrite onto the folded caps tuple; editing it breaks the pattern.
-    _edit(package_copy, "core/pipeline.py",
-          "        if queue.size >= queue.capacity:   # inlined is_full",
-          "        if queue.size > queue.capacity:   # inlined is_full")
-    line = _def_line(package_copy, "SMTPipeline._dispatch_stage")
+def _assert_stops_at(root, line):
+    """Derivation from ``root`` raises at ``core/pipeline.py:<line>``,
+    and the tier-sync lint reports exactly that line."""
     with pytest.raises(SubstitutionError) as info:
-        _derive(package_copy)
+        _derive(root)
     assert f"core/pipeline.py:{line}:" in str(info.value)
-    assert "no longer matches" in str(info.value)
-    report = run_lint(package_copy, LintOptions(rules=["tier-sync"]))
+    report = run_lint(root, LintOptions(rules=["tier-sync"]))
     assert report.exit_code() == 1
     (finding,) = report.findings
     assert (finding.path, finding.line) == ("core/pipeline.py", line)
+    assert f"core/pipeline.py:{line}:" in finding.message
+    return str(info.value)
 
 
-def test_guarded_helper_edit_raises(package_copy):
-    # _recycle_runahead_dest is open-coded by concrete rewrites and
-    # pinned by a guard: any edit to it must stop the derivation.
+def _line_of(root, text):
+    path = os.path.join(root, "core", "pipeline.py")
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    (line,) = [number for number, content in enumerate(lines, 1)
+               if content.strip() == text]
+    return line
+
+
+def test_prologue_binding_without_hoist_raises(package_copy):
+    # A stage binding of a ``self`` chain that the kernel template does
+    # not hoist under that name would be a per-cycle load in the kernel.
     _edit(package_copy, "core/pipeline.py",
-          "        thread.arch_inv[inst.dest_arch] = inst.invalid",
-          "        thread.arch_inv[inst.dest_arch] = True")
-    line = _def_line(package_copy, "SMTPipeline._recycle_runahead_dest")
-    with pytest.raises(SubstitutionError) as info:
-        _derive(package_copy)
-    message = str(info.value)
-    assert f"core/pipeline.py:{line}:" in message
-    assert "_recycle_runahead_dest drifted" in message
-    assert "thread.arch_inv[inst.dest_arch] = True" in message
-    report = run_lint(package_copy, LintOptions(rules=["tier-sync"]))
-    assert report.exit_code() == 1
-    assert (report.findings[0].path, report.findings[0].line) == \
-        ("core/pipeline.py", line)
+          "        available = self.fus._available\n",
+          "        fus = self.fus\n"
+          "        available = self.fus._available\n")
+    message = _assert_stops_at(package_copy,
+                               _line_of(package_copy, "fus = self.fus"))
+    assert "no matching kernel hoist" in message
 
 
-def test_guard_compares_trees_not_text():
-    # ast.unparse spells a tuple target "(a, b) = ..." on Python 3.10
-    # and "a, b = ..." on 3.11: a guard must not depend on either.
-    tree = ast.parse("class C:\n"
-                     "    def f(self):\n"
-                     "        \"\"\"Docstring.\"\"\"\n"
-                     "        (a, b) = (0, self.x)\n")
-    check_guard(lambda relpath: tree, "m.py", "C.f", "a, b = 0, self.x")
-    with pytest.raises(SubstitutionError, match="C.f drifted"):
-        check_guard(lambda relpath: tree, "m.py", "C.f", "a, b = self.x, 0")
+def test_unread_fold_raises(package_copy):
+    # The fetch stage stops reading the hoisted fetch-buffer scalar: its
+    # fold table entry matches nothing, reported where it is defined.
+    _edit(package_copy, "core/pipeline.py",
+          "            buffer_room = self._fetch_buffer_size - "
+          "len(fetch_queue)",
+          "            buffer_room = self.config.fetch_buffer_size - "
+          "len(fetch_queue)")
+    line = _line_of(package_copy, "self._fetch_buffer_size = "
+                    "config.fetch_buffer_size")
+    message = _assert_stops_at(package_copy, line)
+    assert "self._fetch_buffer_size" in message
+    assert "matches no stage" in message
+
+
+def test_broken_inline_call_site_raises(package_copy):
+    # The events stage calls _src_ready differently from the declared
+    # inline call site: the stage is named, never silently left calling.
+    _edit(package_copy, "core/pipeline.py",
+          "self._src_ready(waiter, now, preg,\n"
+          "                                                    invalid)",
+          "self._src_ready(waiter, now, preg, True)")
+    message = _assert_stops_at(
+        package_copy, _def_line(package_copy, "SMTPipeline._process_events"))
+    assert "inline of SMTPipeline._src_ready" in message
+    assert "no longer matches" in message
 
 
 def test_inlined_helper_edit_flows_into_derived_kernel(package_copy):
-    # _issue_runahead_load is spliced in by an inline op, not pinned:
-    # its current body is what the kernel runs.
+    # _issue_runahead_load is spliced in by an inline op: its current
+    # body is what the kernel runs.
     _edit(package_copy, "core/pipeline.py",
           "                # Prefetch dropped (MSHRs full): bogus value, "
           "no retry.\n"
           "                inst.invalid = True\n"
-          "                cycle = now + self._dcache_latency",
+          "                ccycle = now + self._dcache_latency",
           "                # Prefetch dropped (MSHRs full): bogus value, "
           "no retry.\n"
           "                inst.invalid = True\n"
-          "                cycle = now + self._dcache_latency + 1")
+          "                ccycle = now + self._dcache_latency + 1")
     assert "ccycle = now + 2 + 1" in _derive(package_copy)
 
 
